@@ -6,11 +6,11 @@ number of fields of the universal relation (≤ 35 s at 200 fields, ≈ 2 min at
 beyond a handful of fields.  These benchmarks sweep the same parameter;
 ``naive`` is only run on small field counts (the blow-up is the point).
 
-The ``fig7a-fd-engine`` group compares the two relational FD engines on the
+The ``fig7a-fd-engine`` group compares the relational FD engine on the
 Phase 3 minimisation of this exact workload: the interned-attribute bitset
-engine (``engine="bitset"``, the default) against the frozenset oracle it
-replaced (``engine="frozenset"``).  ``test_engine_speedup_report`` turns the
-comparison into a pass/fail gate: the bitset engine must be at least 3×
+engine behind ``repro.relational.fd.minimize`` against the frozenset oracle
+it replaced (``tests/oracles/fd.py``).  ``test_engine_speedup_report`` turns
+the comparison into a pass/fail gate: the bitset engine must be at least 3×
 faster at the largest seed size.
 """
 
@@ -22,10 +22,12 @@ from repro.core.minimum_cover import minimum_cover_from_keys
 from repro.core.naive import naive_minimum_cover
 from repro.relational.fd import minimize
 
+from tests.oracles import fd as oracle
+
 
 FIELD_GRID = [10, 25, 50, 100, 200]
 NAIVE_FIELD_GRID = [5, 8, 10, 12]
-ENGINE_GRID = ["bitset", "frozenset"]
+ENGINE_GRID = {"bitset": minimize, "frozenset": oracle.minimize}
 ENGINE_FIELD_GRID = [100, 200, 500]
 DEPTH = 5
 KEYS = 10
@@ -92,8 +94,8 @@ def test_cover_minimisation_engine_comparison(
     benchmark, generated_fds_cache, engine, num_fields
 ):
     generated = generated_fds_cache(num_fields)
-    result = benchmark(minimize, generated, engine=engine)
-    assert result == minimize(generated, engine="frozenset")
+    result = benchmark(ENGINE_GRID[engine], generated)
+    assert result == oracle.minimize(generated)
 
 
 def test_engine_speedup_report(generated_fds_cache):
@@ -114,8 +116,8 @@ def test_engine_speedup_report(generated_fds_cache):
     rows = []
     for num_fields in ENGINE_FIELD_GRID:
         generated = generated_fds_cache(num_fields)
-        fast = best_of(lambda: minimize(generated, engine="bitset"))
-        slow = best_of(lambda: minimize(generated, engine="frozenset"))
+        fast = best_of(lambda: minimize(generated))
+        slow = best_of(lambda: oracle.minimize(generated))
         rows.append((num_fields, len(generated), fast, slow, slow / fast))
     print("\nfields  FDs   bitset      frozenset   speedup")
     for num_fields, size, fast, slow, speedup in rows:

@@ -11,10 +11,10 @@ the Fig. 7(c) spot-check shape (200 fields / depth 10 / 100 keys):
 * **new** — ``propagated_fds`` batch + ``minimum_cover_from_keys`` with the
   default indexed engine and memoised containment;
 * **old** — per-FD ``check_propagation`` with a shared engine but per-call
-  table-tree rebuilds, linear variant scans (``indexed=False``) and the
-  per-call recursive containment (``naive_containment``).  This reproduces
-  the pre-PR *algorithms* (the reference oracle kept in-tree); it still
-  rides on PR-2 substrate the switches cannot turn off (interned paths,
+  table-tree rebuilds, linear variant scans (``ScanImplicationEngine``) and
+  the per-call recursive containment (``recursive_containment``), both from
+  ``tests/oracles``.  This reproduces the pre-PR *algorithms*; it still
+  rides on substrate the oracles cannot turn off (interned paths,
   precomputed key hashes/scopes, tree-traversal memos), so it is a
   conservative baseline — the true pre-PR commit is slower still.
 
@@ -30,8 +30,10 @@ import pytest
 
 from repro.core.minimum_cover import minimum_cover_from_keys
 from repro.core.propagation import check_propagation, propagated_fds
-from repro.keys.implication import ImplicationEngine
-from repro.xmlmodel.paths import clear_containment_cache, naive_containment
+from repro.xmlmodel.paths import clear_containment_cache
+
+from tests.oracles.containment import recursive_containment
+from tests.oracles.implication import ScanImplicationEngine
 
 
 FIELDS = 200
@@ -50,8 +52,8 @@ def _run_new(workload, fds):
 
 
 def _run_old(workload, fds):
-    with naive_containment():
-        engine = ImplicationEngine(workload.keys, indexed=False)
+    with recursive_containment():
+        engine = ScanImplicationEngine(workload.keys)
         results = [
             check_propagation(workload.keys, workload.rule, fd, engine=engine)
             for fd in fds
@@ -59,7 +61,7 @@ def _run_old(workload, fds):
         cover = minimum_cover_from_keys(
             workload.keys,
             workload.rule,
-            engine=ImplicationEngine(workload.keys, indexed=False),
+            engine=ScanImplicationEngine(workload.keys),
         )
     return results, cover
 

@@ -21,7 +21,7 @@ Two gates pin the PR's claims, in the style of PR 1/PR 2's speedup gates
 The ``@pytest.mark.benchmark`` cases record the absolute throughputs per
 push into the ``BENCH_PR3.json`` CI artifact.  PR 7 adds the
 ``events_per_second`` group: the same gate document tokenized by the pure
-oracle and by the accelerated backend, with the derived rate stored in
+oracle and by the expat backend, with the derived rate stored in
 each record's ``extra_info``.
 """
 
@@ -246,7 +246,7 @@ def test_per_row_insert_emission(benchmark, gate_scenario):
 
 
 # ----------------------------------------------------------------------
-# Tokenizer throughput in events/second, pure vs. accelerated (PR 7)
+# Tokenizer throughput in events/second, pure vs. expat
 # ----------------------------------------------------------------------
 def _record_events_per_second(benchmark, text, engine):
     events = benchmark(lambda: sum(1 for _ in iter_events(text, engine=engine)))
@@ -265,6 +265,6 @@ def test_events_per_second_pure(benchmark, gate_scenario):
 
 
 @pytest.mark.benchmark(group="events_per_second")
-def test_events_per_second_accel(benchmark, gate_scenario):
+def test_events_per_second_expat(benchmark, gate_scenario):
     _, text = gate_scenario
-    _record_events_per_second(benchmark, text, "accel")
+    _record_events_per_second(benchmark, text, "expat")

@@ -1,25 +1,24 @@
-"""PR-7 tokenizer front-end benchmarks: the accelerated backend vs. the pure oracle.
+"""Tokenizer front-end benchmarks: the expat backend vs. the pure oracle.
 
-Every data plane built in PRs 3-6 funnels through the tokenizer in
-:mod:`repro.xmlmodel.events`.  PR 7 puts an accelerated front-end
-(:mod:`repro.xmlmodel.accel`, ``xml.parsers.expat`` with an optional lxml
-tier) behind the same ``Event`` dialect, with the pure tokenizer retained
-as the reference oracle.  Two gates pin the PR's claims, in the style of
-the PR 1-6 gates (plain ``perf_counter`` timing under
-``--benchmark-disable``):
+Every data plane funnels through the tokenizer in
+:mod:`repro.xmlmodel.events`.  An expat front-end
+(:mod:`repro.xmlmodel.accel`, ``xml.parsers.expat``) sits behind the same
+``Event`` dialect, with the pure tokenizer retained as the reference
+oracle.  Two gates pin its claims, in the style of the other plane gates
+(plain ``perf_counter`` timing under ``--benchmark-disable``):
 
-* ``test_accel_output_identical_report`` — on the PR-4 ~104k-node gate
-  document the accelerated file->events stream must equal the pure
+* ``test_expat_output_identical_report`` — on the ~104k-node parallel-plane
+  gate document the expat file->events stream must equal the pure
   tokenizer's *event for event*: same kinds, names and payloads in the
-  same order.  Runs everywhere, with or without lxml.
+  same order.
 
-* ``test_accel_tokenizer_speedup_report`` — tokenizing the gate document
-  from its file must be ≥ 5× faster on the accelerated path (mmap +
+* ``test_expat_tokenizer_speedup_report`` — tokenizing the gate document
+  from its file must be ≥ 5× faster on the expat path (mmap +
   C parser) than on the pure chunked-reader path.  This is the front-end
   the parallel and storage planes consume; the end-to-end pipeline
   numbers (tokenize + shred + check, where Amdahl caps the win at the
   consumer's share) are recorded un-gated below and in
-  ``test_accel_end_to_end_report``.
+  ``test_expat_end_to_end_report``.
 
 The ``@pytest.mark.benchmark`` cases record file->events and in-memory
 string->events throughput for both backends plus the end-to-end serial
@@ -35,7 +34,6 @@ from repro.experiments.generators import generate_workload
 from repro.experiments.scenarios import synthesize_document_chunks, synthesized_node_count
 from repro.parallel import run_sharded
 from repro.transform.stream import stream_evaluate_rule
-from repro.xmlmodel.accel import available_backends
 from repro.xmlmodel.events import iter_events
 
 REQUIRED_SPEEDUP = 5.0
@@ -98,60 +96,58 @@ def _fingerprint(run):
 
 
 # ----------------------------------------------------------------------
-# Gate 1 (runs everywhere): accel event stream ≡ pure event stream
+# Gate 1: expat event stream ≡ pure event stream
 # ----------------------------------------------------------------------
-def test_accel_output_identical_report(gate_file):
+def test_expat_output_identical_report(gate_file):
     workload, path, nodes = gate_file
     assert nodes >= 90_000, "the gate document must stay ~100k-node scale"
-    assert available_backends(), "expat ships with CPython; the probe found nothing"
     pure = iter_events(path, engine="pure")
-    accel = iter_events(path, engine="accel")
+    expat = iter_events(path, engine="expat")
     count = 0
-    for pure_event, accel_event in zip(pure, accel):
-        assert accel_event == pure_event
+    for pure_event, expat_event in zip(pure, expat):
+        assert expat_event == pure_event
         count += 1
-    assert next(pure, None) is None and next(accel, None) is None
+    assert next(pure, None) is None and next(expat, None) is None
     print(
-        f"\n[bench_tokenizer] {nodes} nodes: accelerated backend "
-        f"({'+'.join(available_backends())}) reproduces the pure event "
-        f"stream exactly ({count} events)"
+        f"\n[bench_tokenizer] {nodes} nodes: the expat backend reproduces "
+        f"the pure event stream exactly ({count} events)"
     )
 
 
 # ----------------------------------------------------------------------
 # Gate 2: file->events ≥ 5× the pure chunked-reader path
 # ----------------------------------------------------------------------
-def test_accel_tokenizer_speedup_report(gate_file):
+def test_expat_tokenizer_speedup_report(gate_file):
     _, path, nodes = gate_file
     # Interleave the timed runs so drifting background load lands on both
     # backends instead of biasing whichever ran last.
-    pure_time = accel_time = float("inf")
+    pure_time = expat_time = float("inf")
     for _ in range(7):
         round_time, _unused = _best_of(lambda: _drain(path, "pure"), repeats=1)
         pure_time = min(pure_time, round_time)
-        round_time, _unused = _best_of(lambda: _drain(path, "accel"), repeats=1)
-        accel_time = min(accel_time, round_time)
+        round_time, _unused = _best_of(lambda: _drain(path, "expat"), repeats=1)
+        expat_time = min(expat_time, round_time)
     events = sum(1 for _ in iter_events(path, engine="pure"))
 
-    speedup = pure_time / accel_time
+    speedup = pure_time / expat_time
     print(
         f"\n[bench_tokenizer] file->events on {nodes} nodes "
         f"({events} events): pure {pure_time * 1000:.0f} ms "
-        f"({events / pure_time / 1e6:.2f}M ev/s), accel "
-        f"{accel_time * 1000:.0f} ms ({events / accel_time / 1e6:.2f}M ev/s) "
+        f"({events / pure_time / 1e6:.2f}M ev/s), expat "
+        f"{expat_time * 1000:.0f} ms ({events / expat_time / 1e6:.2f}M ev/s) "
         f"-> {speedup:.2f}x (gate >= {REQUIRED_SPEEDUP:.0f}x)"
     )
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"accelerated tokenizer speedup {speedup:.2f}x below the "
+        f"expat tokenizer speedup {speedup:.2f}x below the "
         f"{REQUIRED_SPEEDUP:.0f}x gate (pure {pure_time * 1000:.0f} ms vs "
-        f"accel {accel_time * 1000:.0f} ms)"
+        f"expat {expat_time * 1000:.0f} ms)"
     )
 
 
 # ----------------------------------------------------------------------
 # Report (un-gated): end-to-end serial pipeline, both backends
 # ----------------------------------------------------------------------
-def test_accel_end_to_end_report(gate_file):
+def test_expat_end_to_end_report(gate_file):
     workload, path, nodes = gate_file
     pure_time, pure_run = _best_of(
         lambda: run_sharded(
@@ -159,17 +155,17 @@ def test_accel_end_to_end_report(gate_file):
             jobs=1, engine="pure",
         )
     )
-    accel_time, accel_run = _best_of(
+    expat_time, expat_run = _best_of(
         lambda: run_sharded(
             path, transformation=[workload.rule], keys=workload.keys,
-            jobs=1, engine="accel",
+            jobs=1, engine="expat",
         )
     )
-    assert _fingerprint(accel_run) == _fingerprint(pure_run)
+    assert _fingerprint(expat_run) == _fingerprint(pure_run)
     print(
         f"\n[bench_tokenizer] end-to-end serial shred+check on {nodes} nodes: "
-        f"pure {pure_time * 1000:.0f} ms, accel {accel_time * 1000:.0f} ms -> "
-        f"{pure_time / accel_time:.2f}x (un-gated: the consumers' Python share "
+        f"pure {pure_time * 1000:.0f} ms, expat {expat_time * 1000:.0f} ms -> "
+        f"{pure_time / expat_time:.2f}x (un-gated: the consumers' Python share "
         f"caps the pipeline win)"
     )
 
@@ -184,9 +180,9 @@ def test_file_events_pure(benchmark, gate_file):
 
 
 @pytest.mark.benchmark(group="tokenizer-file-events")
-def test_file_events_accel(benchmark, gate_file):
+def test_file_events_expat(benchmark, gate_file):
     _, path, _ = gate_file
-    benchmark(_drain, path, "accel")
+    benchmark(_drain, path, "expat")
 
 
 @pytest.mark.benchmark(group="tokenizer-string-events")
@@ -197,10 +193,10 @@ def test_string_events_pure(benchmark, gate_file):
 
 
 @pytest.mark.benchmark(group="tokenizer-string-events")
-def test_string_events_accel(benchmark, gate_file):
+def test_string_events_expat(benchmark, gate_file):
     _, path, _ = gate_file
     text = path.read_text(encoding="ascii")
-    benchmark(_drain, text, "accel")
+    benchmark(_drain, text, "expat")
 
 
 @pytest.mark.benchmark(group="tokenizer-shred-pipeline")
@@ -213,9 +209,9 @@ def test_shred_pipeline_pure(benchmark, gate_file):
 
 
 @pytest.mark.benchmark(group="tokenizer-shred-pipeline")
-def test_shred_pipeline_accel(benchmark, gate_file):
+def test_shred_pipeline_expat(benchmark, gate_file):
     workload, path, _ = gate_file
     instance = benchmark(
-        stream_evaluate_rule, workload.rule, path, engine="accel"
+        stream_evaluate_rule, workload.rule, path, engine="expat"
     )
     assert len(instance) > 0

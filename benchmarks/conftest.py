@@ -1,17 +1,26 @@
 """Shared configuration for the benchmark harness.
 
 Each ``bench_*`` module regenerates one figure (or reported comparison) of
-the paper's evaluation section; see EXPERIMENTS.md for the mapping and for
-measured-vs-paper shapes.  The benchmarks only depend on the synthetic
-workload generators, so they run offline and in a few minutes.
+the paper's evaluation section or gates one execution plane.  The figure
+mapping: ``bench_fig7a_minimum_cover`` is Fig. 7(a) (minimum-cover time
+vs. number of fields), ``bench_fig7b_depth`` is Fig. 7(b) (propagation
+checking vs. table-tree depth) and ``bench_fig7c_keys`` is Fig. 7(c)
+(propagation checking vs. number of keys); every other module measures a
+plane of this repository against its reference.  The whole-pipeline
+benchmark with per-layer figures is ``perfbench/`` (see its README).  The
+benchmarks only depend on the synthetic workload generators, so they run
+offline and in a few minutes.
 """
 
 import os
 import sys
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+# ``src/`` for the package, the repository root for the ``tests.oracles``
+# reference implementations the gates compare against.
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for _path in (os.path.join(_ROOT, "src"), _ROOT):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 import pytest
 

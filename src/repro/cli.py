@@ -219,25 +219,10 @@ def _resolved_jobs(args: argparse.Namespace) -> int:
     return resolve_jobs(args.jobs)
 
 
-def _tokenizer_engine(args: argparse.Namespace) -> Optional[str]:
-    """Validate ``--tokenizer`` up front; unavailable backends exit 2.
-
-    :exc:`~repro.xmlmodel.accel.TokenizerUnavailable` is a
-    :class:`ValueError`, so ``main()``'s uniform usage-error handling
-    applies — but raising here, before any work, keeps the failure crisp.
-    """
-    engine = getattr(args, "tokenizer", None)
-    if engine is not None:
-        from repro.xmlmodel import resolve_engine
-
-        resolve_engine(engine)
-    return engine
-
-
 def cmd_shred(args: argparse.Namespace) -> int:
     transformation = _load_transformation(args.transform)
     keys = _load_keys(args.keys) if args.keys else []
-    engine = _tokenizer_engine(args)
+    engine = args.tokenizer
     dtd = _load_dtd(args)
     exit_code = 0
     use_stream = args.stream or args.jobs is not None
@@ -332,7 +317,7 @@ def cmd_shred(args: argparse.Namespace) -> int:
 def cmd_check_doc(args: argparse.Namespace) -> int:
     """Validate a document against a key set (the Figure 2(a) workflow)."""
     keys = _load_keys(args.keys)
-    engine = _tokenizer_engine(args)
+    engine = args.tokenizer
     dtd = _load_dtd(args)
     if args.prune and dtd is None:
         log.error("error: --prune needs --dtd (the skip set is compiled from it)")
@@ -423,7 +408,7 @@ def cmd_load(args: argparse.Namespace) -> int:
 
     transformation = _load_transformation(args.transform)
     keys = _load_keys(args.keys) if args.keys else []
-    engine = _tokenizer_engine(args)
+    engine = args.tokenizer
     rules = list(transformation)
     documents = list(args.xml)
     provenance = args.provenance
@@ -663,7 +648,7 @@ def cmd_apply_delta(args: argparse.Namespace) -> int:
         log.error("error: provide at least one --op, or --repl")
         return 2
 
-    engine = IncrementalEngine(transformation, keys, engine=_tokenizer_engine(args))
+    engine = IncrementalEngine(transformation, keys, engine=args.tokenizer)
     subtrees = engine.load(_read(args.xml))
     print(f"indexed {args.xml}: {subtrees} top-level subtree(s)")
 
@@ -779,6 +764,15 @@ def _jobs_count(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0 (0 = one worker per CPU)")
     return value
+
+
+def _add_tokenizer_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--tokenizer",
+        choices=["auto", "pure", "expat"],
+        default=None,
+        help="tokenizer backend: expat behind a capability probe, with the pure tokenizer as the identical-output fallback; default: REPRO_TOKENIZER, else auto",
+    )
 
 
 def _add_stats_flags(sub: argparse.ArgumentParser) -> None:
@@ -898,12 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
             "violations print after the key report, exit 1"
         ),
     )
-    shred.add_argument(
-        "--tokenizer",
-        choices=["auto", "pure", "accel", "expat", "lxml"],
-        default=None,
-        help="tokenizer backend: accel probes for the fastest C tokenizer (expat, or lxml when installed) with the pure tokenizer as the identical-output fallback; default: REPRO_TOKENIZER, else auto",
-    )
+    _add_tokenizer_flag(shred)
     _add_stats_flags(shred)
     shred.set_defaults(handler=cmd_shred)
 
@@ -944,12 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
             "identical violations, even on documents that violate the DTD"
         ),
     )
-    check_doc.add_argument(
-        "--tokenizer",
-        choices=["auto", "pure", "accel", "expat", "lxml"],
-        default=None,
-        help="tokenizer backend: accel probes for the fastest C tokenizer (expat, or lxml when installed) with the pure tokenizer as the identical-output fallback; default: REPRO_TOKENIZER, else auto",
-    )
+    _add_tokenizer_flag(check_doc)
     _add_stats_flags(check_doc)
     check_doc.set_defaults(handler=cmd_check_doc)
 
@@ -1028,12 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
             "database is touched — a non-conforming document aborts the load"
         ),
     )
-    load.add_argument(
-        "--tokenizer",
-        choices=["auto", "pure", "accel", "expat", "lxml"],
-        default=None,
-        help="tokenizer backend: accel probes for the fastest C tokenizer (expat, or lxml when installed) with the pure tokenizer as the identical-output fallback; default: REPRO_TOKENIZER, else auto",
-    )
+    _add_tokenizer_flag(load)
     _add_stats_flags(load)
     load.set_defaults(handler=cmd_load)
 
@@ -1155,12 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="save the edited document over --xml after all operations applied",
     )
-    apply_delta.add_argument(
-        "--tokenizer",
-        choices=["auto", "pure", "accel", "expat", "lxml"],
-        default=None,
-        help="tokenizer backend: accel probes for the fastest C tokenizer (expat, or lxml when installed) with the pure tokenizer as the identical-output fallback; default: REPRO_TOKENIZER, else auto",
-    )
+    _add_tokenizer_flag(apply_delta)
     _add_stats_flags(apply_delta)
     apply_delta.set_defaults(handler=cmd_apply_delta)
 

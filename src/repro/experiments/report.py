@@ -1,8 +1,8 @@
 """Markdown reporting for experiment series and designs.
 
-EXPERIMENTS.md is hand-curated, but its tables are generated with the helpers
-below so that re-running the harness on different hardware produces
-ready-to-paste updates:
+The tables of the README's benchmark sections (and of any write-up of a
+re-run) are generated with the helpers below, so re-running the harness on
+different hardware produces ready-to-paste updates:
 
 >>> from repro.experiments.figures import figure_7b
 >>> from repro.experiments.report import series_to_markdown

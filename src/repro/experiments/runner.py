@@ -2,9 +2,8 @@
 
 The numbers of Figure 7 are wall-clock times of the algorithms on synthetic
 inputs.  Absolute values on 2026 hardware are incomparable with the paper's
-2003 setup, so what the harness (and EXPERIMENTS.md) reports are the
-*shapes*: growth rates, ratios between algorithms, and sensitivity to each
-parameter.  This module provides a tiny, dependency-free timing helper with
+2003 setup, so what the harness reports are the *shapes*: growth rates,
+ratios between algorithms, and sensitivity to each parameter.  This module provides a tiny, dependency-free timing helper with
 best-of-``repeat`` semantics and simple tabular rendering shared by the
 figure builders.
 """
@@ -133,7 +132,7 @@ class ExperimentSeries:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # Shape checks used by EXPERIMENTS.md and the integration tests.
+    # Shape checks used by the integration tests.
     # ------------------------------------------------------------------
     def growth_ratio(self, algorithm: str) -> float:
         """Ratio of the last to the first measurement of an algorithm."""

@@ -1,6 +1,6 @@
 """``repro.obs`` — the observability plane.
 
-Three layers, matching the issue that introduced it:
+Three layers:
 
 * **Mergeable metrics** (:mod:`repro.obs.metrics`): counters, gauges and
   fixed-bucket histograms in a :class:`MetricsRegistry` whose
@@ -28,8 +28,8 @@ count per event branch once, before the loop, on :func:`enabled`.
 
 Switch it on three ways:
 
-* ``REPRO_METRICS=1`` in the environment (read at import, like
-  ``REPRO_JOBS`` / ``REPRO_FD_ENGINE``) — the CI matrix leg;
+* ``REPRO_METRICS=1`` in the environment (read at import) — the CI
+  matrix leg;
 * :func:`enable` / :func:`disable` — imperative, process-wide;
 * ``with collect() as registry: ...`` — scoped: installs a fresh (or
   given) registry as the active one, restores the previous state on

@@ -1,34 +1,31 @@
 """Interned-attribute bitset engine for FD closures, covers and ``minimize``.
 
-The reference implementation in :mod:`repro.relational.fd` computes attribute
-closures by a quadratic fixpoint over frozensets: every round rescans the full
-FD pool, so ``minimize`` (which performs one closure per LHS attribute per FD)
-is cubic-ish in the size of the input.  Every algorithm of the paper —
-key-to-FD propagation, the Section 5 ``minimize`` routine and the
-``minimumCover`` computation of Figs. 7(a)–(c) — bottoms out in repeated
-closure calls, which makes that fixpoint the global bottleneck.
+Every algorithm of the paper — key-to-FD propagation, the Section 5
+``minimize`` routine and the ``minimumCover`` computation of Figs. 7(a)–(c)
+— bottoms out in repeated attribute-closure calls.  A textbook closure is a
+quadratic fixpoint over sets that rescans the whole FD pool every round,
+which makes ``minimize`` (one closure per LHS attribute per FD) cubic-ish.
 
-This module is the fast path.  Attribute names are interned to bit positions
-by an :class:`AttributeUniverse`, attribute sets become plain Python ints
-(arbitrary-precision bit masks), and a :class:`BitFDSet` stores FDs as
-``(lhs_mask, rhs_mask)`` pairs together with an attribute→FD inverted index.
-:meth:`BitFDSet.closure_mask` is the classic Beeri–Bernstein linear-time
-counter algorithm: each FD carries a counter of LHS attributes not yet in the
-closure; when a counter drops to zero the FD "fires" and its RHS joins the
-work queue.  Every FD fires at most once and every attribute is dequeued at
-most once, so a closure costs ``O(total size of the FDs)`` instead of
-``O(rounds × pool)``.
+This module is the FD engine behind :mod:`repro.relational.fd`.  Attribute
+names are interned to bit positions by an :class:`AttributeUniverse`,
+attribute sets become plain Python ints (arbitrary-precision bit masks), and
+a :class:`BitFDSet` stores FDs as ``(lhs_mask, rhs_mask)`` pairs together
+with an attribute→FD inverted index.  :meth:`BitFDSet.closure_mask` is the
+classic Beeri–Bernstein linear-time counter algorithm: each FD carries a
+counter of LHS attributes not yet in the closure; when a counter drops to
+zero the FD "fires" and its RHS joins the work queue.  Every FD fires at
+most once and every attribute is dequeued at most once, so a closure costs
+``O(total size of the FDs)`` instead of ``O(rounds × pool)``.
 
-The mask-level ``minimize``/``minimum_cover`` reproduce the reference
-implementation's iteration order *exactly* (FDs in input order, LHS attributes
-in sorted name order), so both engines return identical results — not merely
-equivalent covers — which the differential test suite in
+Callers that probe one pool many times (candidate keys, FD projection, BCNF
+decomposition, DDL key recovery) intern it once into a :class:`BitFDSet`
+and reuse its closure memo.
+
+The mask-level ``minimize``/``minimum_cover`` follow a fixed iteration order
+(FDs in input order, LHS attributes in sorted name order), so they return
+*identical* results to the frozenset reference of ``tests/oracles/fd.py`` —
+same FDs, same order — which the differential suite in
 ``tests/property/test_bitset_equivalence.py`` pins down.
-
-Engine selection lives in :mod:`repro.relational.fd` (the public surface):
-the ``REPRO_FD_ENGINE`` environment variable or the ``engine=`` keyword of
-the public functions picks between ``"bitset"`` (this module, the default)
-and ``"frozenset"`` (the reference oracle).
 """
 
 from __future__ import annotations
@@ -347,8 +344,8 @@ class BitFDSet:
         return self.implies_mask(lhs_mask, rhs_mask)
 
     # ------------------------------------------------------------------
-    # Mask-level minimize (Section 5) — mirrors fd.remove_extraneous_attributes
-    # and fd.remove_redundant_fds step for step.
+    # Mask-level minimize (Section 5) — mirrors the reference
+    # remove_extraneous_attributes / remove_redundant_fds step for step.
     # ------------------------------------------------------------------
     def remove_extraneous_attributes(self) -> None:
         """Drop extraneous LHS attributes from every active FD, in place."""
@@ -414,7 +411,7 @@ class BitFDSet:
 
 # ----------------------------------------------------------------------
 # Functional wrappers over already-coerced FunctionalDependency pools.
-# These are the entry points the engine dispatch in fd.py calls; they
+# These are the entry points the public functions of fd.py call; they
 # intern, run on masks, and convert back to the frozenset-based objects
 # so the public API surface is unchanged.
 # ----------------------------------------------------------------------

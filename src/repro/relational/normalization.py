@@ -15,7 +15,6 @@ from repro.relational.bitset import BitFDSet
 from repro.relational.fd import (
     FDLike,
     FunctionalDependency,
-    _resolve_engine,
     attribute_closure,
     coerce_fd,
     minimum_cover,
@@ -24,33 +23,21 @@ from repro.relational.schema import AttrSetLike, RelationSchema, attr_set
 
 
 def _superkey_test(
-    target: FrozenSet[str],
-    pool: Sequence[FunctionalDependency],
-    engine: Optional[str],
+    target: FrozenSet[str], pool: Sequence[FunctionalDependency]
 ) -> Callable[[Iterable[str]], bool]:
     """A reusable ``is this a superkey of target?`` predicate.
 
-    The bitset engine builds one :class:`BitFDSet` and answers every probe
-    with a counter closure (early-exiting once the target is covered) — the
-    candidate-key search below calls this up to ``2^|attrs|`` times, so
-    amortising the pool construction matters.
+    Builds one :class:`BitFDSet` and answers every probe with a counter
+    closure (early-exiting once the target is covered) — the candidate-key
+    search below calls this up to ``2^|attrs|`` times, so amortising the
+    pool construction matters.
     """
-    if _resolve_engine(engine) == "bitset":
-        bits = BitFDSet.from_fds(pool)
-        target_mask = bits.universe.mask(target)
-
-        def probe(candidate: Iterable[str]) -> bool:
-            mask = bits.universe.mask(candidate)
-            return (
-                target_mask
-                & ~bits.closure_mask(mask, until=target_mask)
-                == 0
-            )
-
-        return probe
+    bits = BitFDSet.from_fds(pool)
+    target_mask = bits.universe.mask(target)
 
     def probe(candidate: Iterable[str]) -> bool:
-        return target <= attribute_closure(candidate, pool, engine="frozenset")
+        mask = bits.universe.mask(candidate)
+        return target_mask & ~bits.closure_mask(mask, until=target_mask) == 0
 
     return probe
 
@@ -59,7 +46,6 @@ def candidate_keys(
     attributes: AttrSetLike,
     fds: Iterable[FDLike],
     limit: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> List[FrozenSet[str]]:
     """All candidate keys of a relation (minimal determining sets).
 
@@ -69,7 +55,7 @@ def candidate_keys(
     """
     attrs = attr_set(attributes)
     pool = [coerce_fd(fd) for fd in fds]
-    is_key = _superkey_test(attrs, pool, engine)
+    is_key = _superkey_test(attrs, pool)
     return _candidate_keys_with_probe(attrs, pool, is_key, limit)
 
 
@@ -105,18 +91,14 @@ def is_superkey(
     attributes: AttrSetLike,
     schema_attributes: AttrSetLike,
     fds: Iterable[FDLike],
-    engine: Optional[str] = None,
 ) -> bool:
-    return attr_set(schema_attributes) <= attribute_closure(
-        attributes, list(fds), engine=engine
-    )
+    return attr_set(schema_attributes) <= attribute_closure(attributes, fds)
 
 
 def project_fds(
     attributes: AttrSetLike,
     fds: Iterable[FDLike],
     minimize_result: bool = True,
-    engine: Optional[str] = None,
 ) -> List[FunctionalDependency]:
     """Project a set of FDs onto a subset of attributes.
 
@@ -129,38 +111,25 @@ def project_fds(
     attrs = sorted(attr_set(attributes))
     pool = [coerce_fd(fd) for fd in fds]
     projected: List[FunctionalDependency] = []
-    if _resolve_engine(engine) == "bitset":
-        bits = BitFDSet.from_fds(pool)
-        universe = bits.universe
-        attrs_mask = universe.mask(attrs)
-        for size in range(1, len(attrs) + 1):
-            for subset in combinations(attrs, size):
-                subset_mask = universe.mask(subset)
-                closure_mask = bits.closure_mask(subset_mask)
-                rhs_mask = closure_mask & attrs_mask & ~subset_mask
-                if rhs_mask:
-                    projected.append(
-                        FunctionalDependency(subset, universe.names(rhs_mask))
-                    )
-    else:
-        for size in range(1, len(attrs) + 1):
-            for subset in combinations(attrs, size):
-                closure = attribute_closure(subset, pool, engine="frozenset")
-                rhs = (closure & set(attrs)) - set(subset)
-                if rhs:
-                    projected.append(FunctionalDependency(subset, rhs))
+    bits = BitFDSet.from_fds(pool)
+    universe = bits.universe
+    attrs_mask = universe.mask(attrs)
+    for size in range(1, len(attrs) + 1):
+        for subset in combinations(attrs, size):
+            subset_mask = universe.mask(subset)
+            rhs_mask = bits.closure_mask(subset_mask) & attrs_mask & ~subset_mask
+            if rhs_mask:
+                projected.append(FunctionalDependency(subset, universe.names(rhs_mask)))
     if minimize_result:
-        return minimum_cover(projected, merge_lhs=True, engine=engine)
+        return minimum_cover(projected, merge_lhs=True)
     return projected
 
 
-def is_bcnf(
-    attributes: AttrSetLike, fds: Iterable[FDLike], engine: Optional[str] = None
-) -> bool:
+def is_bcnf(attributes: AttrSetLike, fds: Iterable[FDLike]) -> bool:
     """Is the relation (with these FDs, already projected) in BCNF?"""
     attrs = attr_set(attributes)
     pool = [coerce_fd(fd) for fd in fds]
-    is_key = _superkey_test(attrs, pool, engine)
+    is_key = _superkey_test(attrs, pool)
     for fd in pool:
         if fd.is_trivial:
             continue
@@ -169,15 +138,13 @@ def is_bcnf(
     return True
 
 
-def is_3nf(
-    attributes: AttrSetLike, fds: Iterable[FDLike], engine: Optional[str] = None
-) -> bool:
+def is_3nf(attributes: AttrSetLike, fds: Iterable[FDLike]) -> bool:
     """Is the relation in 3NF (every RHS attribute prime or LHS a superkey)?"""
     attrs = attr_set(attributes)
     pool = [coerce_fd(fd) for fd in fds]
     # One probe (and one interned pool) shared by the key search and the
     # per-FD superkey tests below.
-    is_key = _superkey_test(attrs, pool, engine)
+    is_key = _superkey_test(attrs, pool)
     keys = _candidate_keys_with_probe(attrs, pool, is_key)
     prime = set().union(*keys) if keys else set()
     for fd in pool:
@@ -194,7 +161,6 @@ def bcnf_decompose(
     name: str,
     attributes: Sequence[str],
     fds: Iterable[FDLike],
-    engine: Optional[str] = None,
 ) -> List[RelationSchema]:
     """Lossless-join BCNF decomposition of ``name(attributes)`` under ``fds``.
 
@@ -205,34 +171,23 @@ def bcnf_decompose(
     readability; every produced schema carries its candidate keys.
     """
     pool = [coerce_fd(fd) for fd in fds]
-    fragments = _bcnf_recurse(tuple(attributes), pool, engine)
+    fragments = _bcnf_recurse(tuple(attributes), pool)
     schemas: List[RelationSchema] = []
     for index, fragment in enumerate(fragments):
-        fragment_fds = project_fds(fragment, pool, engine=engine)
-        keys = candidate_keys(fragment, fragment_fds, engine=engine)
+        fragment_fds = project_fds(fragment, pool)
+        keys = candidate_keys(fragment, fragment_fds)
         schema_name = f"{name}_{index + 1}" if len(fragments) > 1 else name
         schemas.append(RelationSchema(schema_name, sorted(fragment), keys=keys or [fragment]))
     return schemas
 
 
-def _closure_fn(
-    pool: Sequence[FunctionalDependency], engine: Optional[str]
-) -> Callable[[Iterable[str]], FrozenSet[str]]:
-    """A reusable closure function over one pool (interned once on bitset)."""
-    if _resolve_engine(engine) == "bitset":
-        bits = BitFDSet.from_fds(pool)
-        return bits.closure
-    return lambda attrs: attribute_closure(attrs, pool, engine="frozenset")
-
-
 def _bcnf_recurse(
     attributes: Tuple[str, ...],
     fds: List[FunctionalDependency],
-    engine: Optional[str] = None,
 ) -> List[FrozenSet[str]]:
     attrs = frozenset(attributes)
-    local_fds = project_fds(attrs, fds, engine=engine)
-    local_closure = _closure_fn(local_fds, engine)
+    local_fds = project_fds(attrs, fds)
+    local_closure = BitFDSet.from_fds(local_fds).closure
     for fd in local_fds:
         if fd.is_trivial:
             continue
@@ -242,8 +197,8 @@ def _bcnf_recurse(
         # Violation: split around fd.lhs.
         first = frozenset(fd.lhs | (closure & attrs))
         second = frozenset((attrs - (closure & attrs)) | fd.lhs)
-        left = _bcnf_recurse(tuple(sorted(first)), fds, engine)
-        right = _bcnf_recurse(tuple(sorted(second)), fds, engine)
+        left = _bcnf_recurse(tuple(sorted(first)), fds)
+        right = _bcnf_recurse(tuple(sorted(second)), fds)
         merged = left + [fragment for fragment in right if fragment not in left]
         return merged
     return [attrs]
@@ -253,7 +208,6 @@ def synthesize_3nf(
     name: str,
     attributes: Sequence[str],
     fds: Iterable[FDLike],
-    engine: Optional[str] = None,
 ) -> List[RelationSchema]:
     """Bernstein-style 3NF synthesis from a minimum cover.
 
@@ -261,7 +215,7 @@ def synthesize_3nf(
     group, and adds a relation holding a candidate key of the whole schema if
     none of the groups contains one (guaranteeing a lossless join).
     """
-    pool = minimum_cover(fds, merge_lhs=True, engine=engine)
+    pool = minimum_cover(fds, merge_lhs=True)
     attrs = attr_set(attributes)
     schemas: List[RelationSchema] = []
     covered: Set[FrozenSet[str]] = set()
@@ -273,7 +227,7 @@ def synthesize_3nf(
         schemas.append(
             RelationSchema(f"{name}_{index + 1}", sorted(fragment), keys=[fd.lhs if fd.lhs else fragment])
         )
-    global_keys = candidate_keys(attrs, pool, limit=1, engine=engine)
+    global_keys = candidate_keys(attrs, pool, limit=1)
     global_key = global_keys[0] if global_keys else attrs
     if not any(global_key <= frozenset(schema.attributes) for schema in schemas):
         schemas.append(RelationSchema(f"{name}_key", sorted(global_key), keys=[global_key]))

@@ -29,7 +29,9 @@ request object per line, one response object per line, over TCP::
 
 Responses always carry ``"ok"``; failures carry ``"error"`` (and
 ``"rejected"`` row payloads for strict-mode violations).  The codecs for
-rules and schemas live in :mod:`repro.service.registry`.
+rules and schemas live in :mod:`repro.service.registry`.  A request line
+may be up to :data:`MAX_FRAME_BYTES` long; a longer one is discarded and
+answered with an error, and the connection stays open.
 """
 
 from __future__ import annotations
@@ -63,6 +65,43 @@ from repro.storage import (
 
 
 log = obs.get_logger("service")
+
+#: Longest request line (NDJSON frame) the service reads, in bytes.
+#: asyncio's default stream limit of 64 KiB refuses any realistic upload;
+#: this bound admits multi-megabyte documents while still capping what one
+#: connection can buffer.
+MAX_FRAME_BYTES = 1 << 24
+
+
+class _FrameTooLarge(Exception):
+    """A request line exceeded the reader's limit and has been discarded."""
+
+
+async def _read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line, or ``None`` once the stream has ended.
+
+    An oversize line is consumed up to and including its newline before
+    :exc:`_FrameTooLarge` is raised, so the next read starts on the next
+    request.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        return error.partial or None  # a final line without its newline
+    except asyncio.LimitOverrunError as error:
+        consumed = error.consumed
+    # ``consumed`` bytes are buffered and hold no newline: drop them and
+    # look again until the line ends.
+    while True:
+        try:
+            await reader.readexactly(consumed)
+            await reader.readuntil(b"\n")
+            break
+        except asyncio.LimitOverrunError as error:
+            consumed = error.consumed
+        except asyncio.IncompleteReadError:
+            break  # the stream ended inside the oversize line
+    raise _FrameTooLarge
 
 
 def _plain_rows(rows: List) -> List[Dict]:
@@ -380,20 +419,27 @@ class IngestionService:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
                 try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise ValueError("request must be a JSON object")
-                except ValueError as error:
-                    response = {"ok": False, "error": f"bad request: {error}"}
+                    line = await _read_frame(reader)
+                except _FrameTooLarge:
+                    response = {
+                        "ok": False,
+                        "error": f"bad request: frame longer than {MAX_FRAME_BYTES} bytes",
+                    }
                 else:
-                    response = await self.dispatch(request)
+                    if line is None:
+                        break
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        request = json.loads(line)
+                        if not isinstance(request, dict):
+                            raise ValueError("request must be a JSON object")
+                    except ValueError as error:
+                        response = {"ok": False, "error": f"bad request: {error}"}
+                    else:
+                        response = await self.dispatch(request)
                 writer.write(json.dumps(response).encode("utf-8") + b"\n")
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
@@ -450,6 +496,15 @@ class IngestionService:
         log.info("metrics endpoint listening on %s:%d", host, bound)
         return server
 
+    async def listen(
+        self, host: str = "127.0.0.1", port: int = 0
+    ) -> asyncio.AbstractServer:
+        """Accept NDJSON connections with :data:`MAX_FRAME_BYTES` as the
+        line limit; returns the server (port 0 binds a free port)."""
+        return await asyncio.start_server(
+            self.handle_connection, host, port, limit=MAX_FRAME_BYTES
+        )
+
     async def serve_forever(
         self,
         host: str = "127.0.0.1",
@@ -458,7 +513,7 @@ class IngestionService:
     ) -> None:
         """Start workers and accept NDJSON connections until cancelled."""
         await self.start()
-        server = await asyncio.start_server(self.handle_connection, host, port)
+        server = await self.listen(host, port)
         metrics_server = None
         if metrics_port is not None:
             metrics_server = await self.serve_metrics(host, metrics_port)

@@ -42,12 +42,7 @@ from repro.xmlmodel.static import (
     StaticPlan,
     compile_plan,
 )
-from repro.xmlmodel.accel import (
-    ENGINE_ENV,
-    TokenizerUnavailable,
-    available_backends,
-    resolve_engine,
-)
+from repro.xmlmodel.accel import ENGINE_ENV, resolve_engine
 from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.shards import (
     DocumentShards,
@@ -96,8 +91,6 @@ __all__ = [
     "tree_from_events",
     "serialize",
     "ENGINE_ENV",
-    "TokenizerUnavailable",
-    "available_backends",
     "resolve_engine",
     "DocumentShards",
     "MappedDocumentShards",

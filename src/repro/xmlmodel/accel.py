@@ -4,9 +4,8 @@
 plane built on top of it (streaming shred, parallel shard→map→merge,
 storage loading, incremental deltas) funnels each document character
 through the pure-Python tokenizer.  This module puts a C tokenizer in
-front of it — ``xml.parsers.expat`` from the standard library, with an
-optional (explicitly requested) lxml tier — while keeping the pure
-tokenizer as the *reference oracle*: the accelerated stream is
+front of it — ``xml.parsers.expat`` from the standard library — while
+keeping the pure tokenizer as the *reference oracle*: the expat stream is
 event-for-event identical — kinds, payloads, ordering, hence node-id
 assignment — and raises exactly the pure tokenizer's
 :exc:`~repro.xmlmodel.parser.XMLSyntaxError` on malformed input.
@@ -30,13 +29,20 @@ Identity is engineered, not assumed, through two mechanisms:
   second scan of documents that fail to parse; the malformed path is not
   the hot path.)
 
-Backend selection follows the libearth ``compat.etree`` model: probe for
-the fastest available implementation, fall back gracefully, and let both
-an environment variable (``REPRO_TOKENIZER``) and an ``engine=`` keyword
-pin the choice.  ``auto`` (the default) uses the accelerated backend for
-in-memory strings, byte buffers and file paths, and leaves file-like
-objects and chunk iterables on the pure incremental tokenizer, whose
-peak memory is bounded by the longest token rather than the document.
+Three engine names exist: ``pure``, ``expat`` and ``auto``; an
+environment variable (``REPRO_TOKENIZER``) and an ``engine=`` keyword pin
+the choice.  ``auto`` (the default) uses expat for in-memory strings,
+byte buffers and file paths, and leaves file-like objects and chunk
+iterables on the pure incremental tokenizer, whose peak memory is bounded
+by the longest token rather than the document.
+
+Telemetry: :func:`record_call` touches the metrics registry once per
+tokenizer call with the backend that serves it (``tokenizer.calls``,
+label ``engine`` = ``pure`` or ``expat``), and counts every pure fallback
+as ``tokenizer.fallbacks`` with a ``reason`` label: ``probe`` (the
+capability probe routed the document to pure), ``midstream-error`` (expat
+stopped mid-document and pure replayed it; such a call stays counted as
+``expat``) or ``skip-prefers-pure`` (``auto`` under a skip set).
 
 The byte-oriented entry points (:func:`fragment_byte_events`, path
 sources) are the zero-copy half of the design: an ``mmap``-ed document is
@@ -52,8 +58,10 @@ import mmap
 import os
 import re
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
+from xml.parsers import expat
 
+from repro import obs
 from repro.xmlmodel.events import ATTR, END, SKIP, START, TEXT, Event
 from repro.xmlmodel.parser import XMLSyntaxError
 
@@ -62,12 +70,10 @@ ENGINE_ENV = "REPRO_TOKENIZER"
 
 AUTO = "auto"
 PURE = "pure"
-ACCEL = "accel"
 EXPAT = "expat"
-LXML = "lxml"
 
 #: Engine names accepted by ``resolve_engine`` (and the CLI).
-ENGINES = (AUTO, PURE, ACCEL, EXPAT, LXML)
+ENGINES = (AUTO, PURE, EXPAT)
 
 #: Bytes fed to the C parser per ``Parse`` call.  Events are handed to the
 #: consumer between segments, so peak accelerated memory is one segment's
@@ -84,64 +90,18 @@ _AUTO_THRESHOLD = 1 << 12
 _CACHE_LIMIT = 1 << 16
 
 
-class TokenizerUnavailable(ValueError):
-    """An explicitly requested tokenizer backend is not installed.
-
-    A :class:`ValueError` so the CLI's uniform exit-code policy (usage
-    error → 2) applies without special-casing.
-    """
-
-
 class _Fallback(Exception):
     """Internal: the C backend gave up; replay with the pure tokenizer."""
 
 
 # ----------------------------------------------------------------------
-# Backend availability + engine resolution
+# Engine resolution + call accounting
 # ----------------------------------------------------------------------
-def _expat_module():
-    try:
-        from xml.parsers import expat
-    except ImportError:  # pragma: no cover - expat ships with CPython
-        return None
-    return expat
-
-
-def _lxml_module():
-    try:
-        from lxml import etree
-    except ImportError:
-        return None
-    return etree
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The concrete backends usable in this interpreter, fastest first."""
-    names: List[str] = []
-    if _lxml_module() is not None:
-        names.append(LXML)
-    if _expat_module() is not None:
-        names.append(EXPAT)
-    names.append(PURE)
-    return tuple(names)
-
-
-def _best_backend() -> Optional[str]:
-    """The backend ``accel`` resolves to, or ``None`` if only pure exists."""
-    if _lxml_module() is not None:
-        return LXML
-    if _expat_module() is not None:
-        return EXPAT
-    return None  # pragma: no cover - expat ships with CPython
-
-
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an engine request to ``auto``, ``pure``, ``expat`` or ``lxml``.
+    """Resolve an engine request to ``auto``, ``pure`` or ``expat``.
 
     ``engine`` overrides the ``REPRO_TOKENIZER`` environment variable,
-    which overrides the default ``auto``.  ``accel`` resolves to the
-    fastest installed C backend.  Requesting an unavailable backend raises
-    :exc:`TokenizerUnavailable`; an unknown name raises
+    which overrides the default ``auto``.  An unknown name raises
     :exc:`ValueError`.
     """
     if engine is None:
@@ -152,18 +112,23 @@ def resolve_engine(engine: Optional[str] = None) -> str:
         raise ValueError(
             f"unknown tokenizer engine {engine!r} (expected one of {', '.join(ENGINES)})"
         )
-    if engine == ACCEL:
-        backend = _best_backend()
-        if backend is None:  # pragma: no cover - expat ships with CPython
-            raise TokenizerUnavailable(
-                "no accelerated tokenizer backend is available (expat/lxml missing)"
-            )
-        return backend
-    if engine == EXPAT and _expat_module() is None:  # pragma: no cover
-        raise TokenizerUnavailable("the expat tokenizer backend is not available")
-    if engine == LXML and _lxml_module() is None:
-        raise TokenizerUnavailable("the lxml tokenizer backend is not installed")
     return engine
+
+
+def record_call(backend: str, size: Optional[int], fallback: Optional[str] = None) -> None:
+    """Count one tokenizer call served by ``backend`` (telemetry on only).
+
+    ``size`` is the input length when known; ``fallback`` is the reason a
+    call that could have run on expat is served by pure instead.
+    """
+    if not obs.enabled():
+        return
+    registry = obs.metrics()
+    registry.inc("tokenizer.calls", engine=backend)
+    if size is not None:
+        registry.inc("tokenizer.bytes", size)
+    if fallback is not None:
+        registry.inc("tokenizer.fallbacks", reason=fallback)
 
 
 # ----------------------------------------------------------------------
@@ -320,8 +285,7 @@ def _expat_segments(
     delivered prefix exactly (then tokenizes the offending region
     normally, which is the correct continuation).
     """
-    expat_mod = _expat_module()
-    parser = expat_mod.ParserCreate()
+    parser = expat.ParserCreate()
     parser.buffer_text = True
     parser.ordered_attributes = True  # flat [name, value, ...] in document order
     # Fewer, larger character-data deliveries: one join per text run
@@ -504,105 +468,26 @@ def _expat_segments(
                         out = []
                         append = out.append
             parse(final, True)
-    except expat_mod.ExpatError:
+    except expat.ExpatError:
         raise _Fallback from None
     if out:
         yield out
-
-
-def _lxml_segments(
-    pieces: Sequence[Union[str, bytes, memoryview]],
-    strip_whitespace: bool,
-    skip=None,
-) -> Iterator[List[Event]]:
-    """The lxml tier: same contract as :func:`_expat_segments`.
-
-    Only reachable when lxml is installed and explicitly selected (or
-    wins the ``accel`` probe); the replay fallback and the differential
-    suite provide the same oracle guarantee as for expat.  ``skip`` is
-    accepted for signature uniformity but ignored (``_stream`` nulls it
-    for this backend): the lxml stream simply contains no SKIP events,
-    which every consumer handles correctly.
-    """
-    etree = _lxml_module()
-
-    out: List[Event] = []
-    parts: List[str] = []
-    tuple_new = tuple.__new__
-    starts: dict = {}
-    ends: dict = {}
-
-    def flush_text():
-        if parts:
-            content = "".join(parts)
-            parts.clear()
-            if not strip_whitespace or content.strip():
-                out.append(tuple_new(Event, (TEXT, "#text", content)))
-
-    class _Target:
-        def start(self, tag, attrib):
-            flush_text()
-            event = starts.get(tag)
-            if event is None:
-                event = starts[tag] = tuple_new(Event, (START, tag, None))
-                ends[tag] = tuple_new(Event, (END, tag, None))
-            out.append(event)
-            for name, value in attrib.items():
-                out.append(tuple_new(Event, (ATTR, name, value)))
-
-        def end(self, tag):
-            flush_text()
-            out.append(ends[tag])
-
-        def data(self, text):
-            parts.append(text)
-
-        def comment(self, _text):
-            flush_text()
-
-        def pi(self, _target, _data=None):
-            flush_text()
-
-        def close(self):
-            return None
-
-    parser = etree.XMLParser(
-        target=_Target(), resolve_entities=True, recover=False, huge_tree=True
-    )
-    feed = parser.feed
-    try:
-        for piece in pieces:
-            limit = len(piece)
-            for cursor in range(0, limit, _SEGMENT):
-                with _gc_paused():
-                    feed(piece[cursor : cursor + _SEGMENT])
-                if out:
-                    yield out
-                    out = []
-        parser.close()
-    except etree.XMLSyntaxError:
-        raise _Fallback from None
-    if out:
-        yield out
-
-
-_SEGMENT_SOURCES = {EXPAT: _expat_segments, LXML: _lxml_segments}
 
 
 def _stream(
-    backend: str,
     pieces: Sequence[Union[str, bytes, memoryview]],
     strip_whitespace: bool,
     replay_text: Callable[[], str],
     skip=None,
 ) -> Iterator[Event]:
-    """Run a C backend over ``pieces``; replay pure on any parse error.
+    """Run expat over ``pieces``; replay pure on any parse error.
 
     ``replay_text`` materializes the *whole* document text (prolog
     included) so the replayed pure tokenizer reports its canonical events
     and errors; the events already delivered by the C backend are skipped
     by count — the two streams are identical up to the failure point, or
-    the probe would have fallen back before parsing.
+    the probe would have fallen back before parsing.  The replay is
+    counted as a ``midstream-error`` fallback.
 
     The flattening runs through :func:`itertools.chain.from_iterable`
     rather than a per-event ``yield``: the consumer iterates event lists
@@ -613,26 +498,22 @@ def _stream(
     and pulled the next one.
     """
 
-    if backend == LXML:
-        skip = None  # lxml never skips; its replay must not either
-
     def batches() -> Iterator[Iterable[Event]]:
         from repro.xmlmodel import events as events_mod
 
         emitted = 0
         try:
-            for batch in _SEGMENT_SOURCES[backend](pieces, strip_whitespace, skip):
+            for batch in _expat_segments(pieces, strip_whitespace, skip):
                 yield batch
                 emitted += len(batch)
         except _Fallback:
+            if obs.enabled():
+                obs.metrics().inc("tokenizer.fallbacks", reason="midstream-error")
             # The replay runs with the *same* skip set: skip decisions are
             # a deterministic function of (document, skip set), so the
             # pure stream reproduces the delivered prefix event-for-event
             # and the count-based resume stays exact.
-            pure = events_mod.iter_events(
-                replay_text(), strip_whitespace=strip_whitespace, engine=PURE,
-                skip=skip,
-            )
+            pure = events_mod._string_events(replay_text(), strip_whitespace, skip)
             if emitted:
                 next(itertools.islice(pure, emitted, emitted), None)
             yield pure
@@ -646,10 +527,9 @@ def _stream(
 def _buffer_events(
     data: Union[str, bytes, bytearray, memoryview, "mmap.mmap"],
     strip_whitespace: bool,
-    backend: str,
     skip=None,
 ) -> Iterator[Event]:
-    """Tokenize one fully materialized document with a C backend."""
+    """Tokenize one fully materialized document with expat."""
     from repro.xmlmodel import events as events_mod
 
     is_str = isinstance(data, str)
@@ -658,10 +538,8 @@ def _buffer_events(
         return data if is_str else decode_buffer(data)
 
     def pure() -> Iterator[Event]:
-        return events_mod.iter_events(
-            replay_text(), strip_whitespace=strip_whitespace, engine=PURE,
-            skip=skip,
-        )
+        record_call(PURE, len(data), fallback="probe")
+        return events_mod._string_events(replay_text(), strip_whitespace, skip)
 
     if _diverges(data):
         return pure()
@@ -678,12 +556,11 @@ def _buffer_events(
         body: Union[str, memoryview] = data if root == 0 else data[root:]
     else:
         body = memoryview(data)[root:]
-    return _stream(backend, (body,), strip_whitespace, replay_text, skip)
+    record_call(EXPAT, len(data))
+    return _stream((body,), strip_whitespace, replay_text, skip)
 
 
-def _mapped_events(
-    path: str, strip_whitespace: bool, backend: str, skip=None
-) -> Iterator[Event]:
+def _mapped_events(path: str, strip_whitespace: bool, skip=None) -> Iterator[Event]:
     """Tokenize a file by path: ``mmap`` it and feed the map zero-copy.
 
     The mapping is released by a terminal link in the returned chain
@@ -701,11 +578,11 @@ def _mapped_events(
             data = handle.read()
         finally:
             handle.close()
-        return _buffer_events(data, strip_whitespace, backend, skip)
+        return _buffer_events(data, strip_whitespace, skip)
     except BaseException:
         handle.close()
         raise
-    inner = _buffer_events(mapped, strip_whitespace, backend, skip)
+    inner = _buffer_events(mapped, strip_whitespace, skip)
     return itertools.chain(inner, _release_mapping(mapped, handle))
 
 
@@ -736,34 +613,25 @@ def _materialize(source) -> Union[str, bytes]:
 def accelerated_events(
     source, strip_whitespace: bool, resolved: str, skip=None
 ) -> Optional[Iterator[Event]]:
-    """The accelerated side of :func:`repro.xmlmodel.events.iter_events`.
+    """The expat side of :func:`repro.xmlmodel.events.iter_events`.
 
     ``resolved`` is the output of :func:`resolve_engine` (never ``pure``).
     Returns ``None`` when ``auto`` decides the source belongs on the pure
     tokenizer: small strings (fixed costs dominate), and file-like objects
     or chunk iterables (whose bounded-memory contract buffering would
-    break).  An *explicit* backend request accepts every source and
-    buffers when it must.
+    break).  An explicit ``expat`` request accepts every source and
+    buffers when it must.  Every stream returned here has been counted by
+    :func:`record_call`.
     """
-    if resolved == AUTO:
-        backend = _best_backend()
-        if backend is None:  # pragma: no cover - expat ships with CPython
-            return None
-        if isinstance(source, str) or isinstance(
-            source, (bytes, bytearray, memoryview, mmap.mmap)
-        ):
-            if len(source) < _AUTO_THRESHOLD:
-                return None
-            return _buffer_events(source, strip_whitespace, backend, skip)
-        if hasattr(source, "__fspath__"):
-            return _mapped_events(os.fspath(source), strip_whitespace, backend, skip)
-        return None
-    backend = resolved
     if isinstance(source, (str, bytes, bytearray, memoryview, mmap.mmap)):
-        return _buffer_events(source, strip_whitespace, backend, skip)
+        if resolved == AUTO and len(source) < _AUTO_THRESHOLD:
+            return None
+        return _buffer_events(source, strip_whitespace, skip)
     if hasattr(source, "__fspath__"):
-        return _mapped_events(os.fspath(source), strip_whitespace, backend, skip)
-    return _buffer_events(_materialize(source), strip_whitespace, backend, skip)
+        return _mapped_events(os.fspath(source), strip_whitespace, skip)
+    if resolved == AUTO:
+        return None
+    return _buffer_events(_materialize(source), strip_whitespace, skip)
 
 
 # ----------------------------------------------------------------------
@@ -786,10 +654,12 @@ def fragment_byte_events(
     decoded, wrapped fragment — exactly what the string path raises.
     """
     resolved = resolve_engine(engine)
-    backend = _best_backend() if resolved == AUTO else resolved
-    if backend in (PURE, None) or _diverges(fragment):
+    if resolved == PURE or _diverges(fragment):
         from repro.xmlmodel import shards
 
+        if resolved != PURE and obs.enabled():
+            # The pure call below records itself under tokenizer.calls.
+            obs.metrics().inc("tokenizer.fallbacks", reason="probe")
         yield from shards.fragment_events(
             root_tag, decode_buffer(fragment), strip_whitespace=strip_whitespace,
             engine=PURE, skip=skip,
@@ -804,7 +674,8 @@ def fragment_byte_events(
         memoryview(fragment),
         f"</{root_tag}>".encode("utf-8"),
     )
-    events = _stream(backend, pieces, strip_whitespace, replay_text, skip)
+    record_call(EXPAT, len(fragment))
+    events = _stream(pieces, strip_whitespace, replay_text, skip)
     next(events)  # the synthetic root START (present even on replay)
     pending = next(events, None)
     for event in events:

@@ -6,8 +6,7 @@ document.  That is the right model for the paper's *schema-level* algorithms
 (propagation, covers, implication), but the *data-level* pipeline — shredding
 documents through a transformation and checking key satisfaction — must
 handle documents far larger than a comfortable DOM.  This module provides the
-``iterparse``-style layer that sits beside the DOM, the way lxml's event API
-sits beside its tree:
+``iterparse``-style layer that sits beside the DOM:
 
 * :func:`iter_events` tokenizes a document into a flat stream of
   ``start`` / ``attr`` / ``text`` / ``end`` events.  The input may be a
@@ -98,7 +97,7 @@ EventSource = Union[
 ]
 
 #: Byte-buffer source types (decoded for the pure tokenizer, fed zero-copy
-#: to the accelerated backends of :mod:`repro.xmlmodel.accel`).
+#: to the expat backend of :mod:`repro.xmlmodel.accel`).
 _BUFFER_TYPES = (bytes, bytearray, memoryview, mmap.mmap)
 
 _DEFAULT_CHUNK = 1 << 16
@@ -158,10 +157,9 @@ def iter_events(
     ``REPRO_TOKENIZER`` environment variable, else ``auto``):
 
     * ``pure`` — the in-tree reference tokenizer below;
-    * ``accel`` / ``expat`` / ``lxml`` — the C front-ends of
-      :mod:`repro.xmlmodel.accel`, which emit the identical event stream
-      and errors (falling back to a pure replay whenever the C dialect
-      could disagree);
+    * ``expat`` — the C front-end of :mod:`repro.xmlmodel.accel`, which
+      emits the identical event stream and errors (falling back to a pure
+      replay whenever the C dialect could disagree);
     * ``auto`` — accelerate in-memory strings, buffers and paths; keep
       file-like objects and chunk iterables on the pure incremental
       tokenizer, preserving its bounded-memory contract.  When a
@@ -185,40 +183,30 @@ def iter_events(
     tokenizes normally, so the (document, skip set) pair fully determines
     the stream — including on documents that violate the schema the set
     was compiled from.  The in-memory string scanner and the expat backend
-    implement skipping; the bounded-memory chunked tokenizer and the lxml
-    backend accept the parameter but always tokenize in full (their
-    streams simply contain no ``skip`` events, which is also correct).
+    implement skipping; the bounded-memory chunked tokenizer accepts the
+    parameter but always tokenizes in full (its stream simply contains no
+    ``skip`` events, which is also correct).
+
+    With telemetry on, each call is counted once — never per event —
+    under the backend that serves it (see :func:`repro.xmlmodel.accel.record_call`).
     """
     from repro.xmlmodel import accel
 
     resolved = accel.resolve_engine(engine)
-    if obs.enabled():
-        # One registry touch per *call*, never per event: per-event
-        # counters live in the consumer loops as local integers.
-        registry = obs.metrics()
-        registry.inc("tokenizer.calls", engine=resolved)
-        if isinstance(source, str):
-            registry.inc("tokenizer.bytes", len(source))
-        elif isinstance(source, _BUFFER_TYPES):
-            registry.inc("tokenizer.bytes", len(source))
-        elif hasattr(source, "__fspath__"):
-            try:
-                registry.inc(
-                    "tokenizer.bytes", os.path.getsize(os.fspath(source))
-                )
-            except OSError:
-                pass
     if resolved == accel.AUTO and skip and isinstance(source, str):
         # Under a selective plan the pure scanner is the fastest backend:
         # its bulk fast-forward settles skippable regions with a few
         # C-level scans, while a C parser still pays a Python callback
         # per element it visits.  Explicit engine requests (argument or
         # environment variable) are honored unchanged.
+        accel.record_call(accel.PURE, len(source), fallback="skip-prefers-pure")
         return _string_events(source, strip_whitespace, skip)
     if resolved != accel.PURE:
         accelerated = accel.accelerated_events(source, strip_whitespace, resolved, skip)
         if accelerated is not None:
             return accelerated
+    if obs.enabled():
+        accel.record_call(accel.PURE, _source_size(source))
     if hasattr(source, "__fspath__"):
         return _Tokenizer(
             _path_chunks(os.fspath(source), chunk_size), strip_whitespace
@@ -228,6 +216,18 @@ def iter_events(
     if isinstance(source, str):
         return _string_events(source, strip_whitespace, skip)
     return _Tokenizer(_chunks_of(source, chunk_size), strip_whitespace).events()
+
+
+def _source_size(source) -> Optional[int]:
+    """The input length a tokenizer call reports, when it is cheap to know."""
+    if isinstance(source, (str,) + _BUFFER_TYPES):
+        return len(source)
+    if hasattr(source, "__fspath__"):
+        try:
+            return os.path.getsize(os.fspath(source))
+        except OSError:
+            return None
+    return None
 
 
 def _skip_string_prolog(source: str, pos: int = 0) -> int:

@@ -1,0 +1,19 @@
+"""Reference implementations the differential suites and benchmarks pin
+the runtime against.
+
+The runtime in ``src/`` has one engine per layer.  The procedures it
+replaced are kept here, verbatim in behaviour, as oracles:
+
+* :mod:`tests.oracles.fd` — the quadratic frozenset closure and everything
+  built on it (``minimize``, ``minimum_cover``, ``equivalent``,
+  ``project_fds``, ``candidate_keys``); the bitset engine of
+  :mod:`repro.relational.bitset` must return *identical* results;
+* :mod:`tests.oracles.implication` — the linear-scan key-implication
+  engine, answer-for-answer equal to the indexed
+  :class:`~repro.keys.implication.ImplicationEngine`;
+* :mod:`tests.oracles.containment` — the per-call recursive path
+  containment procedure and a context manager routing every runtime
+  ``contains`` call through it.
+
+Nothing in ``src/`` imports this package.
+"""

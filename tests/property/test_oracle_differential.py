@@ -4,7 +4,7 @@ Three layers of agreement, each checked on ≥ 200 random examples:
 
 1. **Containment vs. the recursive reference** — the iterative, cross-call
    memoised ``contains`` must answer exactly like the pre-optimisation
-   per-call recursion (kept verbatim as ``_containment_recursive``).
+   per-call recursion (``tests.oracles.containment``).
 
 2. **Containment vs. a brute-force word oracle** — an independent decision
    procedure that *enumerates* the covered expression's language (every
@@ -17,8 +17,9 @@ Three layers of agreement, each checked on ≥ 200 random examples:
 3. **Engine vs. engine** — a warm (cached, indexed, containment-memoised)
    :class:`ImplicationEngine` must give the same ``implies`` and
    ``attributes_exist`` answers as a fresh engine and as the pre-PR
-   reference configuration (linear variant scan + per-call recursive
-   containment via ``naive_containment``) over random query streams.
+   reference configuration (the linear-scan engine of
+   ``tests.oracles.implication`` over the per-call recursive containment of
+   ``tests.oracles.containment``) over random query streams.
 """
 
 import itertools
@@ -29,14 +30,11 @@ from hypothesis import strategies as st
 from repro.experiments.paper_example import paper_keys
 from repro.keys.implication import ImplicationEngine
 from repro.keys.key import XMLKey
-from repro.xmlmodel.paths import (
-    PathExpression,
-    StepKind,
-    _containment_recursive,
-    contains,
-    naive_containment,
-)
+from repro.xmlmodel import paths
+from repro.xmlmodel.paths import PathExpression, StepKind, contains
 
+from tests.oracles.containment import containment_recursive, recursive_containment
+from tests.oracles.implication import ScanImplicationEngine
 from tests.property.strategies import path_expressions
 import pytest
 
@@ -55,7 +53,7 @@ class TestContainmentMatchesRecursiveReference:
     @differential_settings
     @given(path_expressions(), path_expressions())
     def test_same_verdicts(self, covering, covered):
-        expected = _containment_recursive(covered.steps, covering.steps)
+        expected = containment_recursive(covered.steps, covering.steps)
         assert contains(covering, covered) == expected
         # A second probe answers from the memo table; it must not drift.
         assert contains(covering, covered) == expected
@@ -64,8 +62,9 @@ class TestContainmentMatchesRecursiveReference:
     @given(path_expressions(), path_expressions())
     def test_naive_mode_agrees_and_restores(self, covering, covered):
         fast = contains(covering, covered)
-        with naive_containment():
-            assert contains(covering, covered) == fast
+        with recursive_containment():
+            assert paths.contains(covering, covered) == fast
+        assert paths.contains is contains
         assert contains(covering, covered) == fast
 
 
@@ -184,8 +183,8 @@ class TestWarmEngineMatchesFreshAndReference:
     @given(_queries(_PAPER_CONTEXTS, _PAPER_TARGETS))
     def test_implies_stream_agreement(self, queries):
         fresh = ImplicationEngine(PAPER_KEYS)
-        with naive_containment():
-            reference = ImplicationEngine(PAPER_KEYS, indexed=False)
+        with recursive_containment():
+            reference = ScanImplicationEngine(PAPER_KEYS)
             reference_answers = [reference.implies(query) for query in queries]
         warm_answers = [WARM_ENGINE.implies(query) for query in queries]
         fresh_answers = [fresh.implies(query) for query in queries]
@@ -207,8 +206,8 @@ class TestWarmEngineMatchesFreshAndReference:
     )
     def test_attributes_exist_stream_agreement(self, probes):
         fresh = ImplicationEngine(PAPER_KEYS)
-        with naive_containment():
-            reference = ImplicationEngine(PAPER_KEYS, indexed=False)
+        with recursive_containment():
+            reference = ScanImplicationEngine(PAPER_KEYS)
             reference_answers = [
                 reference.attributes_exist(path, attrs) for path, attrs in probes
             ]
@@ -241,7 +240,7 @@ class TestWarmEngineMatchesFreshAndReference:
     )
     def test_random_key_sets_agree_with_reference(self, keys, queries):
         indexed = ImplicationEngine(keys)
-        with naive_containment():
-            reference = ImplicationEngine(keys, indexed=False)
+        with recursive_containment():
+            reference = ScanImplicationEngine(keys)
             reference_answers = [reference.implies(query) for query in queries]
         assert [indexed.implies(query) for query in queries] == reference_answers

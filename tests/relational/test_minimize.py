@@ -6,9 +6,9 @@ from repro.relational.fd import (
     implies_fd,
     minimize,
     minimum_cover,
-    remove_extraneous_attributes,
-    remove_redundant_fds,
 )
+
+from tests.oracles.fd import remove_extraneous_attributes, remove_redundant_fds
 
 
 class TestRemoveExtraneousAttributes:

@@ -13,6 +13,8 @@ import pytest
 from repro.relational.schema import RelationSchema
 from repro.service import IngestionService
 from repro.service.registry import rule_to_wire, schema_to_wire
+from repro.service import server as server_module
+from repro.service.server import MAX_FRAME_BYTES
 from repro.storage import FaultInjectingBackend, FaultPlan, LoadError, SQLiteBackend
 from repro.storage.backend import TransientError
 from repro.transform.rule import TableRule
@@ -269,6 +271,62 @@ class TestWireProtocol:
         assert ping["ok"] and register["ok"]
         assert upload == {"ok": True, "rows": {"t": 1}}
         assert not garbage["ok"] and "bad request" in garbage["error"]
+
+
+class TestFrameLimit:
+    """Request lines above asyncio's 64 KiB default and above the limit."""
+
+    def _register(self):
+        return {
+            "op": "register",
+            "tenant": "acme",
+            "rules": [rule_to_wire(rule) for rule in RULES],
+            "schema": [schema_to_wire(schema) for schema in SCHEMA],
+        }
+
+    def _exchange(self, frames):
+        async def body(service):
+            server = await service.listen()
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            replies = []
+            for frame in frames:
+                writer.write(frame)
+                await writer.drain()
+                replies.append(json.loads(await reader.readline()))
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return replies
+
+        return run(_with_service(body))
+
+    def test_upload_beyond_the_asyncio_default_succeeds(self):
+        text = _doc(*((str(n), "x") for n in range(3000)))
+        upload = json.dumps({"op": "upload", "tenant": "acme", "text": text}).encode()
+        assert 65536 < len(upload) < MAX_FRAME_BYTES
+        register, reply = self._exchange(
+            [json.dumps(self._register()).encode() + b"\n", upload + b"\n"]
+        )
+        assert register["ok"]
+        assert reply == {"ok": True, "rows": {"t": 3000}}
+
+    def test_oversize_frame_is_answered_and_the_session_survives(self):
+        oversize = b'{"op": "ping", "pad": "' + b"x" * MAX_FRAME_BYTES + b'"}\n'
+        too_large, stats = self._exchange([oversize, b'{"op": "stats"}\n'])
+        assert too_large["ok"] is False
+        assert f"frame longer than {MAX_FRAME_BYTES} bytes" in too_large["error"]
+        assert stats["ok"] is True
+
+    def test_oversize_frame_spanning_many_reads_is_discarded_whole(self, monkeypatch):
+        # A 1 KiB limit against a 1 MiB line: the limit is hit long before
+        # the newline arrives, so the rest of the line must be skipped
+        # across many reads rather than parsed as further requests.
+        monkeypatch.setattr(server_module, "MAX_FRAME_BYTES", 1024)
+        oversize = b'{"op": "ping", "pad": "' + b"x" * (1 << 20) + b'"}\n'
+        too_large, ping = self._exchange([oversize, b'{"op": "ping"}\n'])
+        assert too_large == {"ok": False, "error": "bad request: frame longer than 1024 bytes"}
+        assert ping["ok"] is True
 
 
 class TestObservability:

@@ -1,15 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
-import importlib.util
-
 import pytest
 
 from repro.cli import main
 from repro.experiments import paper_example as pe
 from repro.xmlmodel.serializer import serialize
-
-HAS_LXML = importlib.util.find_spec("lxml") is not None
-
 
 KEYS_TEXT = """
 K1 = (., (//book, {@isbn}))
@@ -561,7 +556,7 @@ class TestExitCodes:
             main(["load"])  # missing required arguments
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("engine", ["auto", "pure", "accel", "expat"])
+    @pytest.mark.parametrize("engine", ["auto", "pure", "expat"])
     def test_tokenizer_backends_agree_on_exit_and_output(
         self, violating_workspace, capsys, engine
     ):
@@ -575,9 +570,9 @@ class TestExitCodes:
         assert main(argv + [engine]) == 1
         assert capsys.readouterr().out == pure_out
 
-    @pytest.mark.skipif(HAS_LXML, reason="lxml is installed here")
+    @pytest.mark.parametrize("tier", ["accel", "lxml"])
     @pytest.mark.parametrize("command", ["check-doc", "shred", "load"])
-    def test_unavailable_tokenizer_exit_two(self, violating_workspace, command):
+    def test_removed_tokenizer_tiers_exit_two(self, violating_workspace, command, tier):
         ws = violating_workspace
         argv = {
             "check-doc": ["check-doc", "--keys", ws["keys"], "--xml", ws["xml"]],
@@ -585,7 +580,9 @@ class TestExitCodes:
             "load": ["load", "--transform", ws["transform"], "--xml", ws["xml"],
                      "--db", ws["db"]],
         }[command]
-        assert main(argv + ["--tokenizer", "lxml"]) == 2
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--tokenizer", tier])
+        assert info.value.code == 2
 
     def test_unknown_tokenizer_is_an_argparse_error(self, violating_workspace):
         ws = violating_workspace

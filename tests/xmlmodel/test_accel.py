@@ -5,7 +5,7 @@ same events, same errors, same positions as the pure tokenizer, for every
 source kind it accepts.  These tests pin
 
 * engine resolution (kwarg > ``REPRO_TOKENIZER`` > ``auto``, unknown
-  names, unavailable backends);
+  names, including the removed ``accel``/``lxml`` tiers);
 * event-for-event parity on the adversarial corpus in both whitespace
   modes;
 * error parity (exception type, message, position) on malformed inputs;
@@ -28,18 +28,10 @@ import pytest
 from test_chunk_boundaries import ADVERSARIAL_DOCUMENTS
 
 from repro.xmlmodel import accel
-from repro.xmlmodel.accel import (
-    ENGINE_ENV,
-    TokenizerUnavailable,
-    available_backends,
-    fragment_byte_events,
-    resolve_engine,
-)
+from repro.xmlmodel.accel import ENGINE_ENV, fragment_byte_events, resolve_engine
 from repro.xmlmodel.events import iter_events
 from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.shards import fragment_events
-
-HAS_LXML = accel._lxml_module() is not None
 
 MALFORMED_DOCUMENTS = {
     "mismatched-close": "<a><b></a>",
@@ -104,30 +96,15 @@ class TestEngineResolution:
     def test_names_are_case_and_space_insensitive(self):
         assert resolve_engine("  EXPAT ") == "expat"
 
-    def test_accel_resolves_to_installed_backend(self):
-        assert resolve_engine("accel") in ("expat", "lxml")
-
-    def test_unknown_name_raises_value_error(self):
+    @pytest.mark.parametrize("name", ["bogus", "accel", "lxml"])
+    def test_unknown_name_raises_value_error(self, name):
         with pytest.raises(ValueError, match="unknown tokenizer engine"):
-            resolve_engine("bogus")
+            resolve_engine(name)
 
     def test_unknown_env_value_raises_from_iter_events(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "bogus")
         with pytest.raises(ValueError, match="unknown tokenizer engine"):
             iter_events("<a/>")
-
-    @pytest.mark.skipif(HAS_LXML, reason="lxml is installed here")
-    def test_missing_lxml_raises_unavailable(self):
-        with pytest.raises(TokenizerUnavailable, match="lxml"):
-            resolve_engine("lxml")
-
-    def test_unavailable_is_a_value_error(self):
-        assert issubclass(TokenizerUnavailable, ValueError)
-
-    def test_available_backends_end_with_pure(self):
-        backends = available_backends()
-        assert backends[-1] == "pure"
-        assert "expat" in backends
 
 
 # ----------------------------------------------------------------------
@@ -140,9 +117,9 @@ class TestEventParity:
         document = ADVERSARIAL_DOCUMENTS[name]
         assert outcome(document, strip, "expat") == outcome(document, strip, "pure")
 
-    def test_accel_equals_pure(self):
+    def test_expat_equals_pure(self):
         document = ADVERSARIAL_DOCUMENTS["entities"]
-        assert outcome(document, engine="accel") == outcome(document, engine="pure")
+        assert outcome(document, engine="expat") == outcome(document, engine="pure")
 
     def test_node_id_positions_match(self):
         # Node ids are positional in this dialect: equality of full event

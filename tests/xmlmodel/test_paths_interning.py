@@ -12,9 +12,10 @@ from repro.xmlmodel.paths import (
     clear_containment_cache,
     concat,
     contains,
-    naive_containment,
     parse_path,
 )
+
+from tests.oracles.containment import recursive_containment
 
 
 class TestStepInterning:
@@ -113,20 +114,37 @@ class TestContainmentMemo:
         clear_containment_cache()
         assert contains(covering, covered)
 
+    def test_full_table_is_cleared_not_frozen(self, monkeypatch):
+        import repro.xmlmodel.paths as paths
+
+        monkeypatch.setattr(paths, "CONTAINMENT_CACHE_LIMIT", 4)
+        clear_containment_cache()
+        pairs = [(parse_path(f"//x{n}"), parse_path(f"a/x{n}")) for n in range(10)]
+        for covering, covered in pairs:
+            assert contains(covering, covered)
+            assert len(paths._containment_cache) <= 4
+        # The newest verdict is memoised even though the bound was hit.
+        assert (pairs[-1][1], pairs[-1][0]) in paths._containment_cache
+        clear_containment_cache()
+
     def test_naive_mode_is_scoped(self):
+        import repro.xmlmodel.paths as paths
+
         covering = parse_path("//a")
         covered = parse_path("a/b/a")
         fast = contains(covering, covered)
-        with naive_containment():
-            assert contains(covering, covered) == fast
+        with recursive_containment():
+            assert paths.contains is not contains
+            assert paths.contains(covering, covered) == fast
+        assert paths.contains is contains
         assert contains(covering, covered) == fast
 
     def test_naive_mode_restored_on_error(self):
         import repro.xmlmodel.paths as paths
 
         try:
-            with naive_containment():
+            with recursive_containment():
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
-        assert paths._use_naive_containment is False
+        assert paths.contains is contains
