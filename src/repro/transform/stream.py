@@ -4,27 +4,39 @@
 then the *global* Cartesian product of variable bindings — fine for the
 paper's worked examples, quadratic-and-worse in memory for data-scale
 imports.  This module evaluates the same table rules over the event stream
-of :mod:`repro.xmlmodel.events` instead:
+of :mod:`repro.xmlmodel.events` instead, and never builds a node:
 
 * the table tree's *anchor* variables (the children of the root variable —
   the only mappings allowed to use ``//``) are matched against the document
   with small per-path NFAs over the open-element stack;
-* only the subtrees rooted at anchor matches are ever materialized; the
-  rest of the document flows through as events and is dropped;
-* bindings are generated *per anchor subtree* when the subtree closes
-  (paths below an anchor are simple, so they never look outside it), and
-  the paper's semantics — ``NULL`` for an empty binding set, an implicit
-  product for multiple nodes (Example 2.5) — are preserved exactly: the
-  final rows are the product of the per-anchor row blocks, which equals the
-  DOM evaluator's bag tuple-for-tuple (pinned by
-  ``tests/property/test_shred_differential.py``).
+* below an anchor every mapping path is simple, so an element binds a
+  variable ``y`` exactly when its label path from the anchor spells
+  ``path(anchor, y)``.  Each anchor's variables are compiled once per rule
+  into a :class:`_BindingPlan` — a trie over those label paths — and each
+  open element carries its trie position, advanced on ``start`` by one
+  dictionary hit.  Elements that reach a variable get an integer record
+  id, filed under the record of the parent variable's node; attribute
+  variables bind when their element's attribute section closes;
+* ``value(y)`` is assembled from event parts, for field-bound elements
+  only, and collapsed by the same :func:`~repro.xmlmodel.tree.collapse_value`
+  as ``XMLTree.value``;
+* when an anchor closes, its bindings are expanded over record ids in the
+  variable order of :meth:`TableTree.descendants`, so the paper's semantics
+  — ``NULL`` for an empty binding set, an implicit product for multiple
+  nodes (Example 2.5) — and the DOM evaluator's row order are preserved
+  exactly: the final rows are the product of the per-anchor row blocks
+  (pinned row for row by ``tests/property/test_shred_oracle_differential.py``
+  against the DOM-rebuilding binder in ``tests/oracles/shred.py``, and as a
+  bag against the DOM evaluator by ``test_shred_differential.py``).
 
-Rules with a single anchor (the common shape — ``Rule(chapter)``,
+Subtrees that can neither match an anchor, nor advance a binding plan, nor
+contribute to a field value are *dead*: their events only bump a depth
+counter.  Rules with a single anchor (the common shape — ``Rule(chapter)``,
 ``Rule(section)``, the universal relation) emit their tuples incrementally,
-as each anchor subtree closes; multi-anchor rules must buffer one row block
-per anchor (values only, never nodes) and emit the product at end of
-stream.  Peak memory is therefore bounded by the largest anchor subtree
-plus the emitted values, not by the document.
+as each anchor closes; multi-anchor rules must buffer one row block per
+anchor (values only) and emit the product at end of stream.  Peak memory is
+therefore bounded by the records and values of the open anchors plus the
+emitted values, not by the document.
 
 Sharded execution (the parallel plane of :mod:`repro.parallel`)
 ---------------------------------------------------------------
@@ -44,10 +56,10 @@ dispatches the shards onto a process pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.relational.instance import NULL, RelationInstance, Row, Value
+from repro.relational.instance import NULL, RelationInstance, Value
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.transform.rule import TableRule, Transformation
 from repro.transform.table_tree import TableTree
@@ -62,108 +74,293 @@ from repro.xmlmodel.events import (
     as_events,
 )
 from repro.xmlmodel.matching import PathNFA
-from repro.xmlmodel.nodes import AttributeNode, ElementNode, Node, TextNode
-from repro.xmlmodel.tree import XMLTree
+from repro.xmlmodel.paths import StepKind
+from repro.xmlmodel.tree import collapse_value
 
 
-# ----------------------------------------------------------------------
-# Per-anchor binding expansion (the DOM semantics, scoped to a subtree)
-# ----------------------------------------------------------------------
-def _subtree_variables(table_tree: TableTree, anchor: str) -> List[str]:
-    return table_tree.descendants(anchor, include_self=True)
+#: What ``NULL`` hashes as in a deduplication key — the placeholder of
+#: ``Row._freeze``, so both keys tell the same rows apart.
+_NULL_KEY = "\0NULL\0"
 
 
-def _subtree_bindings(
-    table_tree: TableTree, variables: List[str], anchor: str, node: Node
-) -> List[Dict[str, Optional[Node]]]:
-    """Expand the bindings of ``anchor``'s subtree for one matched node.
+def _row_key(row: Dict[str, Value]) -> Tuple[object, ...]:
+    """The deduplication key of one row: its values, in field order.
 
-    This is exactly the variable-by-variable expansion of
-    :func:`repro.transform.evaluate.evaluate_rule`, restricted to the
-    anchor's subtree: an empty ``w[[P]]`` binds ``None`` (→ NULL), several
-    nodes take the implicit product.
+    Every row of one rule carries the same fields in the same order (anchor
+    field order, then product order), so the value tuple tells rows apart
+    exactly as the sorted freeze of :class:`~repro.relational.instance.Row`
+    does, without sorting or building a ``Row``.
     """
-    bindings: List[Dict[str, Optional[Node]]] = [{anchor: node}]
-    for variable in variables:
-        if variable == anchor:
-            continue
-        path = table_tree.path_from_parent(variable)
-        parent = table_tree.parent(variable)
-        expanded: List[Dict[str, Optional[Node]]] = []
-        for binding in bindings:
-            parent_node = binding.get(parent)
-            if parent_node is None:
-                new_binding = dict(binding)
-                new_binding[variable] = None
-                expanded.append(new_binding)
+    return tuple(_NULL_KEY if value is NULL else value for value in row.values())
+
+
+# ----------------------------------------------------------------------
+# Binding plans (compiled once per rule)
+# ----------------------------------------------------------------------
+class _BindingPlan:
+    """One anchor's variables, compiled into a trie of label paths.
+
+    Trie node 0 is the anchor element; ``step[n]`` maps a child label to
+    the next node.  ``element_vars[n]`` are the variables (by position)
+    an element at node ``n`` binds, ``attr_vars[n]`` maps an attribute
+    name to the variables its attribute node binds, and ``valued[n]`` says
+    whether an element there needs ``value()``.  Positions follow
+    ``TableTree.descendants(anchor)``; a variable whose path steps out of
+    an attribute node can never bind and gets no position, so its fields
+    are always ``NULL``.
+    """
+
+    __slots__ = (
+        "parents",
+        "expand",
+        "fields",
+        "step",
+        "element_vars",
+        "attr_vars",
+        "valued",
+        "anchor_valued",
+    )
+
+    def __init__(self, table_tree: TableTree, anchor: str) -> None:
+        field_variables = {rule.variable for rule in table_tree.rule.fields}
+        positions: Dict[str, int] = {anchor: 0}
+        self.parents: List[int] = [0]
+        self.step: List[Dict[str, int]] = [{}]
+        self.element_vars: List[List[int]] = [[]]
+        self.attr_vars: List[Dict[str, List[int]]] = [{}]
+        self.valued: List[bool] = [False]
+        self.anchor_valued = anchor in field_variables
+        below = table_tree.descendants(anchor)
+        for variable in below:
+            steps = table_tree.path_between(anchor, variable).steps
+            if any(step.kind is StepKind.ATTRIBUTE for step in steps[:-1]):
                 continue
-            nodes = path.evaluate(parent_node)
-            if not nodes:
-                new_binding = dict(binding)
-                new_binding[variable] = None
-                expanded.append(new_binding)
-                continue
-            for reached in nodes:
-                new_binding = dict(binding)
-                new_binding[variable] = reached
-                expanded.append(new_binding)
-        bindings = expanded
-    return bindings
-
-
-class _Anchor:
-    """One anchor variable: its NFA, its subtree and its field rules."""
-
-    __slots__ = ("variable", "nfa", "variables", "fields", "rows", "matches")
-
-    def __init__(self, table_tree: TableTree, variable: str) -> None:
-        self.variable = variable
-        self.nfa = PathNFA(table_tree.path_from_parent(variable))
-        self.variables = _subtree_variables(table_tree, variable)
-        in_subtree = set(self.variables)
-        self.fields: List[Tuple[str, str]] = [
-            (rule.field, rule.variable)
+            position = len(self.parents)
+            positions[variable] = position
+            self.parents.append(positions[table_tree.parent(variable)])
+            node = 0
+            for step in steps[:-1]:
+                node = self._child(node, step.name)
+            last = steps[-1]
+            if last.kind is StepKind.ATTRIBUTE:
+                self.attr_vars[node].setdefault(last.name, []).append(position)
+            else:
+                node = self._child(node, last.name)
+                self.element_vars[node].append(position)
+                if variable in field_variables:
+                    self.valued[node] = True
+        #: (position, parent position) for every position past the anchor.
+        self.expand = [(i, self.parents[i]) for i in range(1, len(self.parents))]
+        in_subtree = {anchor, *below}
+        self.fields: List[Tuple[str, Optional[int]]] = [
+            (rule.field, positions.get(rule.variable))
             for rule in table_tree.rule.fields
             if rule.variable in in_subtree
         ]
+
+    def _child(self, node: int, label: str) -> int:
+        child = self.step[node].get(label)
+        if child is None:
+            child = len(self.step)
+            self.step[node][label] = child
+            self.step.append({})
+            self.element_vars.append([])
+            self.attr_vars.append({})
+            self.valued.append(False)
+        return child
+
+    def attribute_rows(self, value: str) -> List[Dict[str, Value]]:
+        """The rows of an anchor bound to an attribute node.
+
+        Nothing is reachable from an attribute node, so every other
+        variable binds ``None`` and the block is one row.
+        """
+        return [
+            {name: value if position == 0 else NULL for name, position in self.fields}
+        ]
+
+
+class _Scope:
+    """The records of one anchor match while its subtree streams past.
+
+    Record 0 is the anchor node.  ``kids[(record, position)]`` lists, in
+    document order, the records bound to variable ``position`` below
+    ``record`` — the ``w[[P]]`` of the paper for ``w`` the parent
+    variable's node.  ``current[position]`` is the record last bound to a
+    variable: all of its nodes sit at one depth below the anchor, so the
+    one that is an ancestor of a binding element is the last one opened.
+    """
+
+    __slots__ = ("plan", "values", "kids", "current")
+
+    def __init__(self, plan: _BindingPlan) -> None:
+        self.plan = plan
+        self.values: List[Optional[str]] = [None]
+        self.kids: Dict[Tuple[int, int], List[int]] = {}
+        self.current = [0] * len(plan.parents)
+
+    def bind(self, positions: List[int], value: Optional[str] = None) -> int:
+        record = len(self.values)
+        self.values.append(value)
+        parents = self.plan.parents
+        current = self.current
+        kids = self.kids
+        for position in positions:
+            key = (current[parents[position]], position)
+            bucket = kids.get(key)
+            if bucket is None:
+                kids[key] = [record]
+            else:
+                bucket.append(record)
+            current[position] = record
+        return record
+
+    def rows(self) -> List[Dict[str, Value]]:
+        """Expand the bindings variable by variable, as ``evaluate_rule``."""
+        kids = self.kids
+        bindings: List[Tuple[Optional[int], ...]] = [(0,)]
+        for position, parent in self.plan.expand:
+            grown: List[Tuple[Optional[int], ...]] = []
+            for binding in bindings:
+                record = binding[parent]
+                bucket = kids.get((record, position)) if record is not None else None
+                if bucket is None:
+                    grown.append(binding + (None,))
+                else:
+                    for child in bucket:
+                        grown.append(binding + (child,))
+            bindings = grown
+        values = self.values
+        fields = self.plan.fields
+        rows: List[Dict[str, Value]] = []
+        for binding in bindings:
+            row: Dict[str, Value] = {}
+            for name, position in fields:
+                record = None if position is None else binding[position]
+                row[name] = NULL if record is None else values[record]
+            rows.append(row)
+        return rows
+
+
+class _Anchor:
+    """One anchor variable: its NFA, its binding plan and its row block."""
+
+    __slots__ = ("nfa", "plan", "rows", "matches")
+
+    def __init__(self, nfa: PathNFA, plan: _BindingPlan) -> None:
+        self.nfa = nfa
+        self.plan = plan
         #: Completed row blocks (field → value dicts), one entry per binding.
         self.rows: List[Dict[str, Value]] = []
         #: Anchor nodes matched so far (the shard-result binding counter).
         self.matches = 0
 
     def null_row(self) -> Dict[str, Value]:
-        return {field: NULL for field, _ in self.fields}
+        return {name: NULL for name, _ in self.plan.fields}
 
-    def rows_for_node(self, table_tree: TableTree, node: Node) -> List[Dict[str, Value]]:
-        result: List[Dict[str, Value]] = []
-        for binding in _subtree_bindings(table_tree, self.variables, self.variable, node):
-            row: Dict[str, Value] = {}
-            for field, variable in self.fields:
-                bound = binding.get(variable)
-                row[field] = NULL if bound is None else XMLTree.value(bound)
-            result.append(row)
-        return result
+
+class _CompiledRule:
+    """Everything about a rule that does not depend on the document."""
+
+    __slots__ = (
+        "nfas",
+        "plans",
+        "root_fields",
+        "initial_vector",
+        "initial_matched",
+        "attr_anchors",
+        "vector_cache",
+    )
+
+    def __init__(self, rule: TableRule) -> None:
+        table_tree = TableTree(rule)
+        root = rule.root_variable
+        anchors = table_tree.children(root)
+        self.nfas = [PathNFA(table_tree.path_from_parent(anchor)) for anchor in anchors]
+        self.plans = [_BindingPlan(table_tree, anchor) for anchor in anchors]
+        self.root_fields = rule.fields_of_variable(root)
+        self.initial_vector = tuple(nfa.initial for nfa in self.nfas)
+        self.initial_matched = tuple(
+            i for i, nfa in enumerate(self.nfas) if nfa.matches(self.initial_vector[i])
+        )
+        #: Anchors whose path can end in an attribute node.
+        self.attr_anchors = [
+            i for i, nfa in enumerate(self.nfas) if nfa.has_attribute_steps
+        ]
+        #: (parent state vector, tag) → (child vector, indices of matching
+        #: anchors, vector is dead: no match and no live state)
+        self.vector_cache: Dict[
+            Tuple[Tuple[frozenset, ...], str],
+            Tuple[Tuple[frozenset, ...], Tuple[int, ...], bool],
+        ] = {}
+
+    def advance(
+        self, states: Tuple[frozenset, ...], tag: str
+    ) -> Tuple[Tuple[frozenset, ...], Tuple[int, ...], bool]:
+        nfas = self.nfas
+        child = tuple(nfa.advance(states[i], tag) for i, nfa in enumerate(nfas))
+        matched = tuple(i for i, nfa in enumerate(nfas) if nfa.matches(child[i]))
+        cached = (child, matched, not matched and not any(child))
+        self.vector_cache[(states, tag)] = cached
+        return cached
+
+
+#: Bound on cached compiled rules (one entry per distinct rule structure).
+_COMPILED_LIMIT = 1 << 8
+
+#: A compiled rule whose transition caches grew past this many anchor
+#: vectors is compiled afresh for the next streamer, so a long-lived
+#: process over ever-new tags does not keep every transition it saw.
+_VECTOR_CACHE_LIMIT = 1 << 12
+
+_compiled: Dict[Tuple[object, ...], _CompiledRule] = {}
+
+
+def _compile(rule: TableRule) -> _CompiledRule:
+    """The compiled form of ``rule``, shared by every streamer of it.
+
+    Keyed by the rule's structure rather than its identity: a rule is
+    mutable, and equal rules share one plan and one transition cache.
+    """
+    key = (rule.root_variable, tuple(rule.mappings), tuple(rule.fields))
+    compiled = _compiled.get(key)
+    if compiled is None or len(compiled.vector_cache) >= _VECTOR_CACHE_LIMIT:
+        compiled = _CompiledRule(rule)
+        if len(_compiled) >= _COMPILED_LIMIT:
+            _compiled.clear()
+        _compiled[key] = compiled
+    return compiled
 
 
 class _Frame:
     """Bookkeeping for one open element."""
 
-    __slots__ = ("states", "node", "matched", "pending_attrs", "attrs_done")
+    __slots__ = ("states", "opened", "binds", "parts", "valued", "attrs", "attrs_done")
 
     def __init__(
         self,
         states: Tuple[frozenset, ...],
-        node: Optional[ElementNode],
-        matched: Optional[List[_Anchor]],
+        opened: List[Tuple[_Anchor, _Scope]],
+        binds: List[Tuple[_Scope, int]],
+        parts: Optional[List[str]],
+        valued: List[Tuple[_Scope, int]],
     ) -> None:
         self.states = states
-        self.node = node
-        self.matched = matched
+        #: Anchors matched at this element, each with its binding scope.
+        self.opened = opened
+        #: (scope, trie node) for every anchor match this element is inside
+        #: and whose plan it is still on.
+        self.binds = binds
+        #: Value pieces of the children, when this element's value (or an
+        #: ancestor's) is needed; ``None`` otherwise.
+        self.parts = parts
+        #: (scope, record) pairs that take this element's value.
+        self.valued = valued
         #: Attribute name → value, collected until the attribute section is
         #: complete.  XML allows one attribute per name; later occurrences
-        #: replace earlier ones (as in the DOM parser), so attribute-anchored
-        #: variables must bind the *final* value, not one per attr event.
-        self.pending_attrs: Optional[Dict[str, str]] = None
+        #: replace earlier ones (as in the DOM parser), so attribute
+        #: variables bind one node with the *final* value.
+        self.attrs: Optional[Dict[str, str]] = None
         self.attrs_done = False
 
 
@@ -180,51 +377,32 @@ class RuleStreamer:
         self, rule: TableRule, deduplicate: bool = False, shard_mode: bool = False
     ) -> None:
         self.rule = rule
-        self.table_tree = TableTree(rule)
-        root = rule.root_variable
+        compiled = self._compiled = _compile(rule)
         self.anchors: List[_Anchor] = [
-            _Anchor(self.table_tree, variable) for variable in self.table_tree.children(root)
+            _Anchor(nfa, plan) for nfa, plan in zip(compiled.nfas, compiled.plans)
         ]
-        self.root_fields = rule.fields_of_variable(root)
+        self.root_fields = compiled.root_fields
         self.single_anchor = len(self.anchors) == 1 and not self.root_fields
         self._frames: List[_Frame] = []
         #: Shard mode: accumulate per-anchor row blocks for a later global
         #: merge instead of emitting — deduplication and the NULL / product
         #: semantics then happen exactly once, in :func:`merge_rule_shards`.
         self._shard_mode = shard_mode
-        self._deduplicate = deduplicate
         self._seen: Optional[set] = set() if deduplicate and not shard_mode else None
         self._finished = False
         #: Rows completed so far and not yet drained by the caller.
         self.ready: List[Dict[str, Value]] = []
         #: Depth inside a *dead region*: a subtree whose root advanced every
-        #: anchor NFA to the empty state without matching, under a parent
-        #: that captures nothing.  No anchor (element or attribute) can fire
+        #: anchor NFA to the empty state without matching, left every
+        #: binding plan and sits outside any needed value.  Nothing can bind
         #: anywhere below such an element — an exact automaton fact, true on
         #: any document — so events inside it only bump this counter.
         self._dead_depth = 0
-        #: (parent state vector, tag) → (child vector, matching anchors,
-        #: vector is dead: no match and no live state)
-        self._vector_cache: Dict[
-            Tuple[Tuple[frozenset, ...], str],
-            Tuple[Tuple[frozenset, ...], Optional[List[_Anchor]], bool],
-        ] = {}
-        self._initial_vector = tuple(anchor.nfa.initial for anchor in self.anchors)
-        self._initial_matched = [
-            anchor
-            for i, anchor in enumerate(self.anchors)
-            if anchor.nfa.matches(self._initial_vector[i])
-        ] or None
-        #: Anchors whose path can end in an attribute node.
-        self._attr_anchors = [
-            (i, anchor) for i, anchor in enumerate(self.anchors)
-            if anchor.nfa.has_attribute_steps
-        ]
 
     # ------------------------------------------------------------------
     def _emit(self, row: Dict[str, Value]) -> None:
         if self._seen is not None:
-            key = Row(row)
+            key = _row_key(row)
             if key in self._seen:
                 return
             self._seen.add(key)
@@ -238,70 +416,86 @@ class RuleStreamer:
                 self._dead_depth += 1
                 return
             tag = event.name
+            compiled = self._compiled
+            binds: List[Tuple[_Scope, int]] = []
             if frames:
                 parent = frames[-1]
                 if not parent.attrs_done:
-                    self._resolve_attr_anchors(parent)
-                cache_key = (parent.states, tag)
-                cached = self._vector_cache.get(cache_key)
+                    self._close_attrs(parent)
+                cached = compiled.vector_cache.get((parent.states, tag))
                 if cached is None:
-                    states = tuple(
-                        anchor.nfa.advance(parent.states[i], tag)
-                        for i, anchor in enumerate(self.anchors)
-                    )
-                    matched = [
-                        anchor
-                        for i, anchor in enumerate(self.anchors)
-                        if anchor.nfa.matches(states[i])
-                    ] or None
-                    cached = (states, matched, not matched and not any(states))
-                    self._vector_cache[cache_key] = cached
+                    cached = compiled.advance(parent.states, tag)
                 states, matched, vector_dead = cached
-                capturing = parent.node is not None
-                if vector_dead and not capturing:
+                for scope, node in parent.binds:
+                    child = scope.plan.step[node].get(tag)
+                    if child is not None:
+                        binds.append((scope, child))
+                capturing = parent.parts is not None
+                if vector_dead and not binds and not capturing:
                     self._dead_depth = 1
                     return
             else:
-                states = self._initial_vector
-                matched = self._initial_matched
+                states = compiled.initial_vector
+                matched = compiled.initial_matched
                 capturing = bool(self.root_fields)
-            node: Optional[ElementNode] = None
-            if capturing or matched:
-                node = ElementNode(tag)
-                if frames and frames[-1].node is not None:
-                    frames[-1].node.append_child(node)
-            frames.append(_Frame(states, node, matched))
+            valued: List[Tuple[_Scope, int]] = []
+            for scope, node in binds:
+                plan = scope.plan
+                positions = plan.element_vars[node]
+                if positions:
+                    record = scope.bind(positions)
+                    if plan.valued[node]:
+                        valued.append((scope, record))
+            opened: List[Tuple[_Anchor, _Scope]] = []
+            for index in matched:
+                anchor = self.anchors[index]
+                scope = _Scope(anchor.plan)
+                opened.append((anchor, scope))
+                binds.append((scope, 0))
+                if anchor.plan.anchor_valued:
+                    valued.append((scope, 0))
+            parts: Optional[List[str]] = [] if capturing or valued else None
+            frames.append(_Frame(states, opened, binds, parts, valued))
         elif kind == ATTR:
             if self._dead_depth:
                 return
             frame = frames[-1]
-            if frame.node is not None:
-                frame.node.set_attribute(event.name, event.value or "")
-            if self._attr_anchors:
-                if frame.pending_attrs is None:
-                    frame.pending_attrs = {}
-                frame.pending_attrs[event.name] = event.value or ""
+            if frame.attrs is None:
+                frame.attrs = {event.name: event.value or ""}
+            else:
+                frame.attrs[event.name] = event.value or ""
         elif kind == TEXT:
             if self._dead_depth:
                 return
             frame = frames[-1]
             if not frame.attrs_done:
-                self._resolve_attr_anchors(frame)
-            if frame.node is not None:
-                frame.node.append_child(TextNode(event.value or ""))
+                self._close_attrs(frame)
+            if frame.parts is not None:
+                text = (event.value or "").strip()
+                if text:
+                    frame.parts.append("S:" + text)
         elif kind == END:
             if self._dead_depth:
                 self._dead_depth -= 1
                 return
             frame = frames.pop()
             if not frame.attrs_done:
-                self._resolve_attr_anchors(frame)
-            if frame.matched:
-                for anchor in frame.matched:
-                    self._anchor_matched(anchor, frame.node)  # type: ignore[arg-type]
-            if not frames and self.root_fields and frame.node is not None:
-                row = {field: XMLTree.value(frame.node) for field in self.root_fields}
-                self._emit(row)
+                self._close_attrs(frame)
+            parts = frame.parts
+            if parts is not None:
+                if frame.attrs:
+                    parts = [
+                        f"@{name}:{value}" for name, value in frame.attrs.items()
+                    ] + parts
+                value = collapse_value(parts)
+                if frames and frames[-1].parts is not None:
+                    frames[-1].parts.append(f"{event.name}: {value}")
+                for scope, record in frame.valued:
+                    scope.values[record] = value
+                if not frames and self.root_fields:
+                    self._emit({name: value for name in self.root_fields})
+            for anchor, scope in frame.opened:
+                self._anchor_matched(anchor, scope.rows())
         elif kind == SKIP:
             # A skipped subtree.  The skip plane only fast-forwards labels
             # whose entire subtree is invisible to every interesting path —
@@ -312,28 +506,32 @@ class RuleStreamer:
                 return
             frame = frames[-1]
             if not frame.attrs_done:
-                self._resolve_attr_anchors(frame)
+                self._close_attrs(frame)
 
-    def _resolve_attr_anchors(self, frame: _Frame) -> None:
-        """Match attribute-anchored variables once the attr section closed.
+    def _close_attrs(self, frame: _Frame) -> None:
+        """Bind attribute variables and anchors once the section closed.
 
         Deferred so that a duplicated attribute name binds one node with its
         final value — exactly what the DOM holds after parsing.
         """
         frame.attrs_done = True
-        if frame.pending_attrs is None:
+        attrs = frame.attrs
+        if attrs is None:
             return
-        for name, value in frame.pending_attrs.items():
-            for i, anchor in self._attr_anchors:
-                if anchor.nfa.matches_attribute(frame.states[i], name):
-                    if frame.node is not None:
-                        attr_node: Node = frame.node.attribute(name)  # type: ignore[assignment]
-                    else:
-                        attr_node = AttributeNode(name, value)
-                    self._anchor_matched(anchor, attr_node)
+        for scope, node in frame.binds:
+            for name, positions in scope.plan.attr_vars[node].items():
+                value = attrs.get(name)
+                if value is not None:
+                    scope.bind(positions, value)
+        attr_anchors = self._compiled.attr_anchors
+        if attr_anchors:
+            for name, value in attrs.items():
+                for i in attr_anchors:
+                    anchor = self.anchors[i]
+                    if anchor.nfa.matches_attribute(frame.states[i], name):
+                        self._anchor_matched(anchor, anchor.plan.attribute_rows(value))
 
-    def _anchor_matched(self, anchor: _Anchor, node: Node) -> None:
-        rows = anchor.rows_for_node(self.table_tree, node)
+    def _anchor_matched(self, anchor: _Anchor, rows: List[Dict[str, Value]]) -> None:
         anchor.matches += 1
         if self._shard_mode:
             anchor.rows.extend(rows)
@@ -383,7 +581,7 @@ class RuleStreamer:
         document as one subtree and cannot be sharded; the parallel
         executor falls back to the serial plane when it sees one.
         """
-        return self._initial_matched is not None
+        return bool(self._compiled.initial_matched)
 
     def shard_result(self) -> "RuleShardResult":
         """Extract this shard's mergeable state (shard mode only).
@@ -400,9 +598,11 @@ class RuleStreamer:
                 raise ValueError("shard slice left a non-root element open")
             frame = self._frames[0]
             if not frame.attrs_done:
-                self._resolve_attr_anchors(frame)
-            if self.root_fields and frame.node is not None:
-                root_parts = _child_value_parts(frame.node)
+                self._close_attrs(frame)
+            if self.root_fields and frame.parts is not None:
+                # Children only: the root's attributes are prologue state,
+                # shared by every shard and contributed once by the merger.
+                root_parts = list(frame.parts)
         return RuleShardResult(
             anchor_rows=[list(anchor.rows) for anchor in self.anchors],
             anchor_matches=[anchor.matches for anchor in self.anchors],
@@ -494,25 +694,6 @@ class RuleShardResult:
         return self
 
 
-def _child_value_parts(element: ElementNode) -> List[str]:
-    """The per-child pieces of ``XMLTree._element_value`` for one element.
-
-    Root attributes are deliberately excluded: they are prologue state,
-    shared by every shard, and contributed exactly once by the merger.
-    """
-    parts: List[str] = []
-    for child in element.children:
-        if child.is_text():
-            stripped = child.text.strip()  # type: ignore[attr-defined]
-            if stripped:
-                parts.append(f"S:{stripped}")
-        else:
-            parts.append(
-                f"{child.label}: {XMLTree._element_value(child)}"  # type: ignore[arg-type]
-            )
-    return parts
-
-
 def merge_rule_shards(
     rule: TableRule,
     shard_results: Sequence[RuleShardResult],
@@ -536,10 +717,7 @@ def merge_rule_shards(
         parts = list(root_attr_parts)
         for result in shard_results:
             parts.extend(result.root_parts)
-        if len(parts) == 1 and parts[0].startswith("S:"):
-            value = parts[0][2:]
-        else:
-            value = "(" + ", ".join(parts) + ")"
+        value = collapse_value(parts)
         rows = [{field_name: value for field_name in template.root_fields}]
     else:
         blocks: List[List[Dict[str, Value]]] = []
@@ -552,17 +730,10 @@ def merge_rule_shards(
         for block in blocks:
             rows = [dict(done, **part) for done in rows for part in block]
     if deduplicate:
-        # Every row of one rule carries the same fields in the same
-        # insertion order (anchor field order, then product order), so the
-        # value tuple is a faithful — and much cheaper — stand-in for the
-        # sorted freeze of :class:`Row` that serial deduplication hashes.
-        # The NULL sentinel matches ``Row._freeze`` exactly.
         seen: set = set()
         unique: List[Dict[str, Value]] = []
         for row in rows:
-            key = tuple(
-                "\0NULL\0" if value is NULL else value for value in row.values()
-            )
+            key = _row_key(row)
             if key not in seen:
                 seen.add(key)
                 unique.append(row)

@@ -14,6 +14,20 @@ from typing import Dict, Iterator, List, Optional
 from repro.xmlmodel.nodes import AttributeNode, ElementNode, Node, TextNode
 
 
+def collapse_value(parts: List[str]) -> str:
+    """``value()`` of an element from its rendered parts.
+
+    ``parts`` lists ``@name:value`` for each attribute, then one piece per
+    child: ``S:text`` for non-blank (stripped) text and ``label: value``
+    for an element.  A leaf element holding a single piece of text
+    collapses to that text, which matches how the paper populates
+    relational fields such as ``title`` and ``name``.
+    """
+    if len(parts) == 1 and parts[0].startswith("S:"):
+        return parts[0][2:]
+    return "(" + ", ".join(parts) + ")"
+
+
 class XMLTree:
     """A rooted, ordered XML document tree with node identifiers."""
 
@@ -94,12 +108,7 @@ class XMLTree:
                 parts.append(
                     f"{child.label}: {XMLTree._element_value(child)}"  # type: ignore[arg-type]
                 )
-        # A leaf element holding a single piece of text collapses to that
-        # text, which matches how the paper populates relational fields such
-        # as ``title`` and ``name``.
-        if len(parts) == 1 and parts[0].startswith("S:"):
-            return parts[0][2:]
-        return "(" + ", ".join(parts) + ")"
+        return collapse_value(parts)
 
     # ------------------------------------------------------------------
     # Convenience queries

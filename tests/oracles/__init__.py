@@ -13,7 +13,11 @@ replaced are kept here, verbatim in behaviour, as oracles:
   :class:`~repro.keys.implication.ImplicationEngine`;
 * :mod:`tests.oracles.containment` — the per-call recursive path
   containment procedure and a context manager routing every runtime
-  ``contains`` call through it.
+  ``contains`` call through it;
+* :mod:`tests.oracles.shred` — the rule shredder that rebuilds each anchor
+  subtree as a DOM and re-evaluates every variable's path; the
+  event-native :class:`~repro.transform.stream.RuleStreamer` must emit
+  *the same rows in the same order* and equal shard results.
 
 Nothing in ``src/`` imports this package.
 """

@@ -91,6 +91,10 @@ def simple_paths(draw):
 @st.composite
 def table_rules(draw):
     rule = TableRule("R")
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        # A root-only rule: one field holding value() of the whole document.
+        rule.add_field("f0", rule.root_variable)
+        return rule
     counter = [0]
 
     def fresh():
@@ -110,7 +114,13 @@ def table_rules(draw):
         # Leaves of this anchor subtree: variables without outgoing mappings.
         sources = {m.source for m in rule.mappings}
         leaves.extend(v for v in frontier if v not in sources)
-    for index, leaf in enumerate(dict.fromkeys(leaves)):
+    # Fields on a random non-empty subset of the leaves; the other leaves
+    # only multiply rows.
+    leaves = list(dict.fromkeys(leaves))
+    chosen = [leaf for leaf in leaves if draw(st.booleans())]
+    if not chosen:
+        chosen = [draw(st.sampled_from(leaves))]
+    for index, leaf in enumerate(chosen):
         rule.add_field(f"f{index}", leaf)
     return rule
 
