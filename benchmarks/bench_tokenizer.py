@@ -23,10 +23,17 @@ oracle.  Two gates pin its claims, in the style of the other plane gates
 The ``@pytest.mark.benchmark`` cases record file->events and in-memory
 string->events throughput for both backends plus the end-to-end serial
 shred pipeline into the ``BENCH_PR7.json`` CI artifact.
+
+The backends are called directly: the pure chunked reader
+(``events._Tokenizer`` over ``events._path_chunks``) and string scanner
+(``events._string_events``) against ``accel._mapped_events`` and
+``accel._buffer_events``.
 """
 
+import os
 import time
 from collections import deque
+from unittest import mock
 
 import pytest
 
@@ -34,7 +41,7 @@ from repro.experiments.generators import generate_workload
 from repro.experiments.scenarios import synthesize_document_chunks, synthesized_node_count
 from repro.parallel import run_sharded
 from repro.transform.stream import stream_evaluate_rule
-from repro.xmlmodel.events import iter_events
+from repro.xmlmodel import accel, events
 
 REQUIRED_SPEEDUP = 5.0
 
@@ -80,10 +87,22 @@ def _best_of(callable_, repeats=5):
     return best, result
 
 
-def _drain(source, engine):
+def _events(source, backend):
+    """``backend``'s event stream for a string or a file path."""
+    if backend == "expat":
+        if isinstance(source, str):
+            return accel._buffer_events(source, True)
+        return accel._mapped_events(os.fspath(source), True)
+    if isinstance(source, str):
+        return events._string_events(source, True)
+    chunks = events._path_chunks(os.fspath(source), events._DEFAULT_CHUNK)
+    return events._Tokenizer(chunks, True).events()
+
+
+def _drain(source, backend):
     # deque(maxlen=0) consumes the iterator at C speed: the gate times the
     # event *source*, not a Python-level counting loop around it.
-    deque(iter_events(source, engine=engine), maxlen=0)
+    deque(_events(source, backend), maxlen=0)
 
 
 def _fingerprint(run):
@@ -101,8 +120,8 @@ def _fingerprint(run):
 def test_expat_output_identical_report(gate_file):
     workload, path, nodes = gate_file
     assert nodes >= 90_000, "the gate document must stay ~100k-node scale"
-    pure = iter_events(path, engine="pure")
-    expat = iter_events(path, engine="expat")
+    pure = _events(path, "pure")
+    expat = _events(path, "expat")
     count = 0
     for pure_event, expat_event in zip(pure, expat):
         assert expat_event == pure_event
@@ -127,14 +146,14 @@ def test_expat_tokenizer_speedup_report(gate_file):
         pure_time = min(pure_time, round_time)
         round_time, _unused = _best_of(lambda: _drain(path, "expat"), repeats=1)
         expat_time = min(expat_time, round_time)
-    events = sum(1 for _ in iter_events(path, engine="pure"))
+    count = sum(1 for _ in _events(path, "pure"))
 
     speedup = pure_time / expat_time
     print(
         f"\n[bench_tokenizer] file->events on {nodes} nodes "
-        f"({events} events): pure {pure_time * 1000:.0f} ms "
-        f"({events / pure_time / 1e6:.2f}M ev/s), expat "
-        f"{expat_time * 1000:.0f} ms ({events / expat_time / 1e6:.2f}M ev/s) "
+        f"({count} events): pure {pure_time * 1000:.0f} ms "
+        f"({count / pure_time / 1e6:.2f}M ev/s), expat "
+        f"{expat_time * 1000:.0f} ms ({count / expat_time / 1e6:.2f}M ev/s) "
         f"-> {speedup:.2f}x (gate >= {REQUIRED_SPEEDUP:.0f}x)"
     )
     assert speedup >= REQUIRED_SPEEDUP, (
@@ -149,18 +168,17 @@ def test_expat_tokenizer_speedup_report(gate_file):
 # ----------------------------------------------------------------------
 def test_expat_end_to_end_report(gate_file):
     workload, path, nodes = gate_file
-    pure_time, pure_run = _best_of(
-        lambda: run_sharded(
-            path, transformation=[workload.rule], keys=workload.keys,
-            jobs=1, engine="pure",
+
+    def run():
+        return run_sharded(
+            path, transformation=[workload.rule], keys=workload.keys, jobs=1
         )
-    )
-    expat_time, expat_run = _best_of(
-        lambda: run_sharded(
-            path, transformation=[workload.rule], keys=workload.keys,
-            jobs=1, engine="expat",
-        )
-    )
+
+    # The serial plane tokenizes the decoded text: large, so expat serves
+    # it unless the backend rule is patched to decline every source.
+    with mock.patch.object(accel, "_expat_serves", return_value=False):
+        pure_time, pure_run = _best_of(run)
+    expat_time, expat_run = _best_of(run)
     assert _fingerprint(expat_run) == _fingerprint(pure_run)
     print(
         f"\n[bench_tokenizer] end-to-end serial shred+check on {nodes} nodes: "
@@ -203,7 +221,7 @@ def test_string_events_expat(benchmark, gate_file):
 def test_shred_pipeline_pure(benchmark, gate_file):
     workload, path, _ = gate_file
     instance = benchmark(
-        stream_evaluate_rule, workload.rule, path, engine="pure"
+        lambda: stream_evaluate_rule(workload.rule, _events(path, "pure"))
     )
     assert len(instance) > 0
 
@@ -212,6 +230,6 @@ def test_shred_pipeline_pure(benchmark, gate_file):
 def test_shred_pipeline_expat(benchmark, gate_file):
     workload, path, _ = gate_file
     instance = benchmark(
-        stream_evaluate_rule, workload.rule, path, engine="expat"
+        lambda: stream_evaluate_rule(workload.rule, _events(path, "expat"))
     )
     assert len(instance) > 0

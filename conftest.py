@@ -19,3 +19,8 @@ def pytest_configure(config):
         "slow: long-running Hypothesis/differential suites (run in their own CI job; "
         "deselect locally with -m 'not slow')",
     )
+    config.addinivalue_line(
+        "markers",
+        "backend_rule: checks which tokenizer backend serves a call, so it keeps "
+        "the real rule when REPRO_TEST_TOKENIZER=pure pins the rest of the suite",
+    )

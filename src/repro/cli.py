@@ -222,7 +222,6 @@ def _resolved_jobs(args: argparse.Namespace) -> int:
 def cmd_shred(args: argparse.Namespace) -> int:
     transformation = _load_transformation(args.transform)
     keys = _load_keys(args.keys) if args.keys else []
-    engine = args.tokenizer
     dtd = _load_dtd(args)
     exit_code = 0
     use_stream = args.stream or args.jobs is not None
@@ -246,7 +245,6 @@ def cmd_shred(args: argparse.Namespace) -> int:
             transformation=transformation,
             keys=keys or None,
             jobs=jobs,
-            engine=engine,
         )
         instances = run.instances or {}
         if run.violations is not None:
@@ -266,7 +264,7 @@ def cmd_shred(args: argparse.Namespace) -> int:
 
             validator = DTDStreamValidator(dtd)
         events = 0
-        for event in iter_events(Path(args.xml), engine=engine):
+        for event in iter_events(Path(args.xml)):
             events += 1
             shredder.feed(event)
             if checker is not None:
@@ -317,7 +315,6 @@ def cmd_shred(args: argparse.Namespace) -> int:
 def cmd_check_doc(args: argparse.Namespace) -> int:
     """Validate a document against a key set (the Figure 2(a) workflow)."""
     keys = _load_keys(args.keys)
-    engine = args.tokenizer
     dtd = _load_dtd(args)
     if args.prune and dtd is None:
         log.error("error: --prune needs --dtd (the skip set is compiled from it)")
@@ -351,7 +348,6 @@ def cmd_check_doc(args: argparse.Namespace) -> int:
                 Path(args.xml),
                 keys=keys,
                 jobs=_resolved_jobs(args),
-                engine=engine,
                 plan=plan,
             ).violations
             or []
@@ -374,7 +370,7 @@ def cmd_check_doc(args: argparse.Namespace) -> int:
             validator = DTDStreamValidator(dtd)
         checker = KeyStreamChecker(keys)
         events = 0
-        for event in iter_events(Path(args.xml), engine=engine, skip=skip):
+        for event in iter_events(Path(args.xml), skip=skip):
             events += 1
             checker.feed(event)
             if validator is not None:
@@ -408,7 +404,6 @@ def cmd_load(args: argparse.Namespace) -> int:
 
     transformation = _load_transformation(args.transform)
     keys = _load_keys(args.keys) if args.keys else []
-    engine = args.tokenizer
     rules = list(transformation)
     documents = list(args.xml)
     provenance = args.provenance
@@ -423,7 +418,7 @@ def cmd_load(args: argparse.Namespace) -> int:
         from repro.xmlmodel.dtd import stream_dtd_violations
 
         for path in documents:
-            found = stream_dtd_violations(Path(path), dtd, engine=engine)
+            found = stream_dtd_violations(Path(path), dtd)
             if found:
                 print(f"{path} violates its DTD; nothing was loaded:")
                 for violation in found:
@@ -464,7 +459,6 @@ def cmd_load(args: argparse.Namespace) -> int:
                 ((path, Path(path)) for path in documents),
                 rules,
                 jobs=args.jobs,
-                engine=engine,
             )
         except LoadError as error:
             print(f"load rejected: {error}")
@@ -648,7 +642,7 @@ def cmd_apply_delta(args: argparse.Namespace) -> int:
         log.error("error: provide at least one --op, or --repl")
         return 2
 
-    engine = IncrementalEngine(transformation, keys, engine=args.tokenizer)
+    engine = IncrementalEngine(transformation, keys)
     subtrees = engine.load(_read(args.xml))
     print(f"indexed {args.xml}: {subtrees} top-level subtree(s)")
 
@@ -764,15 +758,6 @@ def _jobs_count(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0 (0 = one worker per CPU)")
     return value
-
-
-def _add_tokenizer_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--tokenizer",
-        choices=["auto", "pure", "expat"],
-        default=None,
-        help="tokenizer backend: expat behind a capability probe, with the pure tokenizer as the identical-output fallback; default: REPRO_TOKENIZER, else auto",
-    )
 
 
 def _add_stats_flags(sub: argparse.ArgumentParser) -> None:
@@ -892,7 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
             "violations print after the key report, exit 1"
         ),
     )
-    _add_tokenizer_flag(shred)
     _add_stats_flags(shred)
     shred.set_defaults(handler=cmd_shred)
 
@@ -933,7 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
             "identical violations, even on documents that violate the DTD"
         ),
     )
-    _add_tokenizer_flag(check_doc)
     _add_stats_flags(check_doc)
     check_doc.set_defaults(handler=cmd_check_doc)
 
@@ -1012,7 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
             "database is touched — a non-conforming document aborts the load"
         ),
     )
-    _add_tokenizer_flag(load)
     _add_stats_flags(load)
     load.set_defaults(handler=cmd_load)
 
@@ -1134,7 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="save the edited document over --xml after all operations applied",
     )
-    _add_tokenizer_flag(apply_delta)
     _add_stats_flags(apply_delta)
     apply_delta.set_defaults(handler=cmd_apply_delta)
 

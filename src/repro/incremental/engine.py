@@ -183,7 +183,6 @@ class IncrementalEngine:
         schema: Optional[DatabaseSchema] = None,
         deduplicate: bool = True,
         strip_whitespace: bool = True,
-        engine: Optional[str] = None,
         plan=None,
     ) -> None:
         self.rules: List[TableRule] = (
@@ -195,9 +194,6 @@ class IncrementalEngine:
         self._schema = schema
         self.deduplicate = deduplicate
         self.strip_whitespace = strip_whitespace
-        #: Tokenizer backend for fragment replays
-        #: (:func:`repro.xmlmodel.events.iter_events`).
-        self.engine = engine
         #: Optional :class:`~repro.xmlmodel.static.StaticPlan`; its skip set
         #: (compiled over at least these keys and rules — empty whenever a
         #: rule captures element values) fast-forwards schema-invisible
@@ -319,7 +315,6 @@ class IncrementalEngine:
             self._root_tag,
             fragment,
             strip_whitespace=self.strip_whitespace,
-            engine=self.engine,
             skip=self._skip,
         ):
             events += 1

@@ -763,7 +763,6 @@ def stream_violations(
     keys: Union[XMLKey, Iterable[XMLKey]],
     strip_whitespace: bool = True,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
     plan=None,
 ) -> List[KeyViolation]:
     """All violations of ``keys`` on the document, in one streaming pass.
@@ -794,15 +793,12 @@ def stream_violations(
             keys=keys,
             strip_whitespace=strip_whitespace,
             jobs=jobs,
-            engine=engine,
             plan=plan,
         )
         return run.violations or []
     checker = KeyStreamChecker(keys)
     feed = checker.feed
-    stream = as_events(
-        source, strip_whitespace=strip_whitespace, engine=engine, skip=skip
-    )
+    stream = as_events(source, strip_whitespace=strip_whitespace, skip=skip)
     if not obs.enabled():
         # The disabled-mode hot loop carries zero instrumentation: the
         # branch is taken once, outside the loop (bench_obs gates this).
@@ -837,7 +833,6 @@ def stream_satisfies(
     keys: Union[XMLKey, Iterable[XMLKey]],
     strip_whitespace: bool = True,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
     plan=None,
 ) -> bool:
     """``T ⊨ Σ`` decided in a single pass over the event stream."""
@@ -846,6 +841,5 @@ def stream_satisfies(
         keys,
         strip_whitespace=strip_whitespace,
         jobs=jobs,
-        engine=engine,
         plan=plan,
     )

@@ -133,7 +133,6 @@ class _ShardWorker:
         rules: Sequence[TableRule],
         keys: Sequence[XMLKey],
         strip_whitespace: bool,
-        engine: Optional[str] = None,
         skip=None,
         metrics_enabled: bool = False,
     ) -> None:
@@ -141,7 +140,6 @@ class _ShardWorker:
         self.rules = list(rules)
         self.keys = list(keys)
         self.strip_whitespace = strip_whitespace
-        self.engine = engine
         #: Optional :class:`~repro.xmlmodel.static.SkipSet`; plain picklable
         #: data, shipped to the workers with the rest of the payload.
         self.skip = skip
@@ -182,7 +180,6 @@ class _ShardWorker:
         for event in self.shards.shard_events(
             index,
             strip_whitespace=self.strip_whitespace,
-            engine=self.engine,
             skip=self.skip,
         ):
             events += 1
@@ -252,7 +249,6 @@ def _run_serial(
     schema: Optional[DatabaseSchema],
     deduplicate: bool,
     strip_whitespace: bool,
-    engine: Optional[str] = None,
     skip=None,
 ) -> ShardedRun:
     """The PR-3 single-pass plane: shredder and checker share one walk."""
@@ -266,9 +262,7 @@ def _run_serial(
     skipped = 0
     events = 0
     elided = 0
-    for event in iter_events(
-        source, strip_whitespace=strip_whitespace, engine=engine, skip=skip
-    ):
+    for event in iter_events(source, strip_whitespace=strip_whitespace, skip=skip):
         events += 1
         if event.kind == SKIP:
             skipped += 1
@@ -300,7 +294,6 @@ def run_sharded(
     strip_whitespace: bool = True,
     jobs: Optional[int] = None,
     use_processes: Optional[bool] = None,
-    engine: Optional[str] = None,
     executor=None,
     plan=None,
 ) -> ShardedRun:
@@ -319,8 +312,7 @@ def run_sharded(
     (:func:`resolve_jobs`); ``use_processes=False`` runs the shard tasks
     in-process — the same shard/map/merge code path without the pool,
     which is what the differential test suite exercises at scale.
-    ``engine`` selects the tokenizer backend per
-    :func:`repro.xmlmodel.events.iter_events`.  ``executor`` reuses an
+    ``executor`` reuses an
     existing :class:`concurrent.futures.Executor` for the shard tasks
     instead of spinning up (and tearing down) a process pool per call —
     the shape a long-lived service wants; the worker payload is shipped
@@ -368,14 +360,13 @@ def run_sharded(
         shards = None
     if shards is None:
         return _run_serial(
-            source, rules, key_list, schema, deduplicate, strip_whitespace, engine,
-            skip,
+            source, rules, key_list, schema, deduplicate, strip_whitespace, skip
         )
     if path is not None:
         shards = map_document_shards(shards, path)
 
     worker = _ShardWorker(
-        shards, rules, key_list, strip_whitespace, engine, skip,
+        shards, rules, key_list, strip_whitespace, skip,
         metrics_enabled=obs.enabled(),
     )
     indices = range(len(shards))

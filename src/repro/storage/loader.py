@@ -325,7 +325,6 @@ class BulkLoader:
         document: Optional[str] = None,
         jobs: Optional[int] = None,
         strip_whitespace: bool = True,
-        engine: Optional[str] = None,
     ) -> Dict[str, int]:
         """Shred one document and load every rule's rows, atomically.
 
@@ -351,11 +350,11 @@ class BulkLoader:
                 isinstance(source, str) or hasattr(source, "__fspath__")
             ):
                 counts = self._load_document_sharded(
-                    source, rules, document, jobs, strip_whitespace, engine
+                    source, rules, document, jobs, strip_whitespace
                 )
             else:
                 counts = self._load_document_streaming(
-                    source, rules, document, strip_whitespace, engine
+                    source, rules, document, strip_whitespace
                 )
         if obs.enabled():
             registry = obs.metrics()
@@ -375,7 +374,6 @@ class BulkLoader:
         document: Optional[str],
         jobs: Optional[int],
         strip_whitespace: bool,
-        engine: Optional[str] = None,
     ) -> Dict[str, int]:
         from repro.parallel import run_sharded
 
@@ -385,7 +383,6 @@ class BulkLoader:
             deduplicate=self.deduplicate,
             strip_whitespace=strip_whitespace,
             jobs=jobs,
-            engine=engine,
         )
         counts: Dict[str, int] = {}
         for table, instance in (run.instances or {}).items():
@@ -398,7 +395,6 @@ class BulkLoader:
         rules: List[TableRule],
         document: Optional[str],
         strip_whitespace: bool,
-        engine: Optional[str] = None,
     ) -> Dict[str, int]:
         streamers = [
             (RuleStreamer(rule, deduplicate=self.deduplicate), rule) for rule in rules
@@ -406,9 +402,7 @@ class BulkLoader:
         sinks = {
             rule.relation: self._sink(rule.relation, document) for _, rule in streamers
         }
-        for event in as_events(
-            source, strip_whitespace=strip_whitespace, engine=engine
-        ):
+        for event in as_events(source, strip_whitespace=strip_whitespace):
             for streamer, rule in streamers:
                 streamer.feed(event)
                 if streamer.ready:
@@ -444,7 +438,6 @@ class BulkLoader:
         jobs: Optional[int] = None,
         strip_whitespace: bool = True,
         on_error: str = "raise",
-        engine: Optional[str] = None,
     ) -> LoadReport:
         """Ingest many documents into the same tables.
 
@@ -470,7 +463,6 @@ class BulkLoader:
                     document=document_id,
                     jobs=jobs,
                     strip_whitespace=strip_whitespace,
-                    engine=engine,
                 )
             except LoadError as error:
                 if on_error == "raise":

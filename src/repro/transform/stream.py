@@ -749,7 +749,6 @@ def iter_rule_rows(
     source: EventSource,
     deduplicate: bool = False,
     strip_whitespace: bool = True,
-    engine: Optional[str] = None,
     plan=None,
 ) -> Iterator[Dict[str, Value]]:
     """Lazily yield the rows ``Rule(R)`` produces over ``source``.
@@ -765,9 +764,7 @@ def iter_rule_rows(
     """
     skip = plan.skipset if plan is not None and plan.skipset else None
     streamer = RuleStreamer(rule, deduplicate=deduplicate)
-    for event in as_events(
-        source, strip_whitespace=strip_whitespace, engine=engine, skip=skip
-    ):
+    for event in as_events(source, strip_whitespace=strip_whitespace, skip=skip):
         streamer.feed(event)
         if streamer.ready:
             yield from streamer.drain()
@@ -781,7 +778,6 @@ def stream_evaluate_rule(
     schema: Optional[RelationSchema] = None,
     deduplicate: bool = True,
     strip_whitespace: bool = True,
-    engine: Optional[str] = None,
     plan=None,
 ) -> RelationInstance:
     """Streaming counterpart of :func:`repro.transform.evaluate.evaluate_rule`."""
@@ -792,7 +788,6 @@ def stream_evaluate_rule(
         source,
         deduplicate=deduplicate,
         strip_whitespace=strip_whitespace,
-        engine=engine,
         plan=plan,
     ):
         instance.add_row(row)
@@ -852,7 +847,6 @@ class StreamShredder:
         source: EventSource,
         strip_whitespace: bool = True,
         jobs: Optional[int] = None,
-        engine: Optional[str] = None,
         plan=None,
     ) -> Dict[str, RelationInstance]:
         """Shred ``source`` completely and return the relation instances.
@@ -879,15 +873,12 @@ class StreamShredder:
                 deduplicate=self._deduplicate,
                 strip_whitespace=strip_whitespace,
                 jobs=jobs,
-                engine=engine,
                 plan=plan,
             )
             self._instances = dict(run.instances or {})
             return dict(self._instances)
         skip = plan.skipset if plan is not None and plan.skipset else None
-        for event in as_events(
-            source, strip_whitespace=strip_whitespace, engine=engine, skip=skip
-        ):
+        for event in as_events(source, strip_whitespace=strip_whitespace, skip=skip):
             self.feed(event)
         return self.finish()
 
@@ -899,11 +890,10 @@ def stream_evaluate_transformation(
     deduplicate: bool = True,
     strip_whitespace: bool = True,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
     plan=None,
 ) -> Dict[str, RelationInstance]:
     """Streaming counterpart of :func:`evaluate_transformation` (one pass)."""
     shredder = StreamShredder(transformation, schema=schema, deduplicate=deduplicate)
     return shredder.run(
-        source, strip_whitespace=strip_whitespace, jobs=jobs, engine=engine, plan=plan
+        source, strip_whitespace=strip_whitespace, jobs=jobs, plan=plan
     )

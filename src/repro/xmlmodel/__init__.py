@@ -2,9 +2,9 @@
 
 This package provides the tree model of XML documents used throughout the
 library: element / attribute / text nodes with identities, document order,
-a small parser and serializer, a programmatic builder, and the path language
-``PL = {epsilon, label, /, //}`` of the paper (parsing, evaluation,
-containment and concatenation).
+an event tokenizer with DOM entry points, a serializer, a programmatic
+builder, and the path language ``PL = {epsilon, label, /, //}`` of the
+paper (parsing, evaluation, containment and concatenation).
 
 The model deliberately mirrors Figure 1 of the paper: every node has a
 numeric identifier, elements carry attributes as first-class nodes, and the
@@ -42,7 +42,6 @@ from repro.xmlmodel.static import (
     StaticPlan,
     compile_plan,
 )
-from repro.xmlmodel.accel import ENGINE_ENV, resolve_engine
 from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.shards import (
     DocumentShards,
@@ -90,8 +89,6 @@ __all__ = [
     "iter_tree_events",
     "tree_from_events",
     "serialize",
-    "ENGINE_ENV",
-    "resolve_engine",
     "DocumentShards",
     "MappedDocumentShards",
     "ShardSlice",

@@ -29,12 +29,16 @@ Identity is engineered, not assumed, through two mechanisms:
   second scan of documents that fail to parse; the malformed path is not
   the hot path.)
 
-Three engine names exist: ``pure``, ``expat`` and ``auto``; an
-environment variable (``REPRO_TOKENIZER``) and an ``engine=`` keyword pin
-the choice.  ``auto`` (the default) uses expat for in-memory strings,
-byte buffers and file paths, and leaves file-like objects and chunk
-iterables on the pure incremental tokenizer, whose peak memory is bounded
-by the longest token rather than the document.
+There is no backend switch: the input alone decides.  Expat serves
+in-memory strings and byte buffers of at least ``_AUTO_THRESHOLD``
+characters (below that, parser construction and the probe cost more than
+they save) and file paths; a string with a skip set, file-like objects
+and chunk iterables stay on the pure tokenizer, whose bulk fast-forward
+elides skipped regions at C speed and whose peak memory is bounded by the
+longest token rather than the document.  :func:`_expat_serves` decides
+every call except a string with a skip set, which
+:func:`~repro.xmlmodel.events.iter_events` hands to the pure scanner
+first.
 
 Telemetry: :func:`record_call` touches the metrics registry once per
 tokenizer call with the backend that serves it (``tokenizer.calls``,
@@ -42,7 +46,7 @@ label ``engine`` = ``pure`` or ``expat``), and counts every pure fallback
 as ``tokenizer.fallbacks`` with a ``reason`` label: ``probe`` (the
 capability probe routed the document to pure), ``midstream-error`` (expat
 stopped mid-document and pure replayed it; such a call stays counted as
-``expat``) or ``skip-prefers-pure`` (``auto`` under a skip set).
+``expat``) or ``skip-prefers-pure`` (a string under a skip set).
 
 The byte-oriented entry points (:func:`fragment_byte_events`, path
 sources) are the zero-copy half of the design: an ``mmap``-ed document is
@@ -62,27 +66,21 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 from xml.parsers import expat
 
 from repro import obs
-from repro.xmlmodel.events import ATTR, END, SKIP, START, TEXT, Event
+from repro.xmlmodel.events import _BUFFER_TYPES, ATTR, END, SKIP, START, TEXT, Event
 from repro.xmlmodel.parser import XMLSyntaxError
 
-#: Environment variable consulted when ``engine`` is not given explicitly.
-ENGINE_ENV = "REPRO_TOKENIZER"
-
-AUTO = "auto"
+#: Backend names, as ``tokenizer.calls`` labels them.
 PURE = "pure"
 EXPAT = "expat"
-
-#: Engine names accepted by ``resolve_engine`` (and the CLI).
-ENGINES = (AUTO, PURE, EXPAT)
 
 #: Bytes fed to the C parser per ``Parse`` call.  Events are handed to the
 #: consumer between segments, so peak accelerated memory is one segment's
 #: events, not the whole document's.
 _SEGMENT = 1 << 20
 
-#: ``auto`` leaves sources smaller than this on the pure tokenizer: the
-#: fixed cost of parser construction and the divergence probe only pays
-#: for itself on documents with a few thousand events.
+#: Sources smaller than this stay on the pure tokenizer: the fixed cost
+#: of parser construction and the divergence probe only pays for itself
+#: on documents with a few thousand events.
 _AUTO_THRESHOLD = 1 << 12
 
 #: Bound on the per-parse event caches; adversarial inputs with millions
@@ -95,24 +93,23 @@ class _Fallback(Exception):
 
 
 # ----------------------------------------------------------------------
-# Engine resolution + call accounting
+# Backend selection + call accounting
 # ----------------------------------------------------------------------
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an engine request to ``auto``, ``pure`` or ``expat``.
+_BUFFERS = (str,) + _BUFFER_TYPES
 
-    ``engine`` overrides the ``REPRO_TOKENIZER`` environment variable,
-    which overrides the default ``auto``.  An unknown name raises
-    :exc:`ValueError`.
+
+def _expat_serves(source, min_size: Optional[int] = None) -> bool:
+    """Whether expat serves ``source``: a buffer of at least ``min_size``
+    (default ``_AUTO_THRESHOLD``) characters, or a file path.
+
+    File-like objects and chunk iterables never qualify: buffering them
+    would break the pure tokenizer's bounded-memory contract.  Every
+    expat call goes through this test, so replacing it with a function
+    that answers ``False`` runs every call on the pure tokenizer.
     """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "").strip().lower() or AUTO
-    else:
-        engine = engine.strip().lower()
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown tokenizer engine {engine!r} (expected one of {', '.join(ENGINES)})"
-        )
-    return engine
+    if isinstance(source, _BUFFERS):
+        return len(source) >= (_AUTO_THRESHOLD if min_size is None else min_size)
+    return hasattr(source, "__fspath__")
 
 
 def record_call(backend: str, size: Optional[int], fallback: Optional[str] = None) -> None:
@@ -597,41 +594,18 @@ def _release_mapping(mapped: "mmap.mmap", handle) -> Iterator[Event]:
     yield  # pragma: no cover - unreachable; makes this a generator
 
 
-def _materialize(source) -> Union[str, bytes]:
-    """Buffer a file-like object or chunk iterable for a C backend."""
-    read = getattr(source, "read", None)
-    if read is not None:
-        return read()
-    pieces = list(source)
-    if not pieces:
-        return ""
-    if isinstance(pieces[0], str):
-        return "".join(pieces)
-    return b"".join(pieces)
-
-
-def accelerated_events(
-    source, strip_whitespace: bool, resolved: str, skip=None
-) -> Optional[Iterator[Event]]:
+def accelerated_events(source, strip_whitespace: bool, skip=None) -> Optional[Iterator[Event]]:
     """The expat side of :func:`repro.xmlmodel.events.iter_events`.
 
-    ``resolved`` is the output of :func:`resolve_engine` (never ``pure``).
-    Returns ``None`` when ``auto`` decides the source belongs on the pure
-    tokenizer: small strings (fixed costs dominate), and file-like objects
-    or chunk iterables (whose bounded-memory contract buffering would
-    break).  An explicit ``expat`` request accepts every source and
-    buffers when it must.  Every stream returned here has been counted by
+    Returns ``None`` when :func:`_expat_serves` leaves the source on the
+    pure tokenizer.  Every stream returned here has been counted by
     :func:`record_call`.
     """
-    if isinstance(source, (str, bytes, bytearray, memoryview, mmap.mmap)):
-        if resolved == AUTO and len(source) < _AUTO_THRESHOLD:
-            return None
-        return _buffer_events(source, strip_whitespace, skip)
+    if not _expat_serves(source):
+        return None
     if hasattr(source, "__fspath__"):
         return _mapped_events(os.fspath(source), strip_whitespace, skip)
-    if resolved == AUTO:
-        return None
-    return _buffer_events(_materialize(source), strip_whitespace, skip)
+    return _buffer_events(source, strip_whitespace, skip)
 
 
 # ----------------------------------------------------------------------
@@ -641,7 +615,6 @@ def fragment_byte_events(
     root_tag: str,
     fragment: Union[bytes, bytearray, memoryview],
     strip_whitespace: bool = True,
-    engine: Optional[str] = None,
     skip=None,
 ) -> Iterator[Event]:
     """Byte-buffer counterpart of :func:`repro.xmlmodel.shards.fragment_events`.
@@ -653,29 +626,25 @@ def fragment_byte_events(
     are dropped; errors and fallbacks replay the pure tokenizer over the
     decoded, wrapped fragment — exactly what the string path raises.
     """
-    resolved = resolve_engine(engine)
-    if resolved == PURE or _diverges(fragment):
-        from repro.xmlmodel import shards
-
-        if resolved != PURE and obs.enabled():
-            # The pure call below records itself under tokenizer.calls.
-            obs.metrics().inc("tokenizer.fallbacks", reason="probe")
-        yield from shards.fragment_events(
-            root_tag, decode_buffer(fragment), strip_whitespace=strip_whitespace,
-            engine=PURE, skip=skip,
-        )
-        return
 
     def replay_text() -> str:
         return f"<{root_tag}>{decode_buffer(fragment)}</{root_tag}>"
 
-    pieces = (
-        f"<{root_tag}>".encode("utf-8"),
-        memoryview(fragment),
-        f"</{root_tag}>".encode("utf-8"),
-    )
-    record_call(EXPAT, len(fragment))
-    events = _stream(pieces, strip_whitespace, replay_text, skip)
+    served = _expat_serves(fragment, 0)
+    if served and not _diverges(fragment):
+        pieces = (
+            f"<{root_tag}>".encode("utf-8"),
+            memoryview(fragment),
+            f"</{root_tag}>".encode("utf-8"),
+        )
+        record_call(EXPAT, len(fragment))
+        events = _stream(pieces, strip_whitespace, replay_text, skip)
+    else:
+        from repro.xmlmodel import events as events_mod
+
+        text = replay_text()
+        record_call(PURE, len(text), fallback="probe" if served else None)
+        events = events_mod._string_events(text, strip_whitespace, skip)
     next(events)  # the synthetic root START (present even on replay)
     pending = next(events, None)
     for event in events:

@@ -567,14 +567,14 @@ def stream_dtd_violations(
     source,
     dtd: DTD,
     strip_whitespace: bool = True,
-    engine: Optional[str] = None,
 ) -> List[DTDViolation]:
-    """Validate ``source`` against ``dtd`` in one streaming pass."""
-    from repro.xmlmodel.events import iter_events
+    """Validate ``source`` (any :func:`~repro.xmlmodel.events.as_events`
+    source) against ``dtd`` in one streaming pass."""
+    from repro.xmlmodel.events import as_events
 
     validator = DTDStreamValidator(dtd)
     feed = validator.feed
-    for event in iter_events(source, strip_whitespace=strip_whitespace, engine=engine):
+    for event in as_events(source, strip_whitespace=strip_whitespace):
         feed(event)
     return validator.finish()
 

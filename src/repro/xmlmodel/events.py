@@ -1,12 +1,12 @@
-"""Event-driven XML tokenization — the streaming side of the data plane.
+"""Event-driven XML tokenization — the one XML front end of the library.
 
-The DOM parser of :mod:`repro.xmlmodel.parser` materializes a full
-:class:`~repro.xmlmodel.tree.XMLTree` before anything can look at the
-document.  That is the right model for the paper's *schema-level* algorithms
-(propagation, covers, implication), but the *data-level* pipeline — shredding
-documents through a transformation and checking key satisfaction — must
-handle documents far larger than a comfortable DOM.  This module provides the
-``iterparse``-style layer that sits beside the DOM:
+Every plane reads XML through this module.  The DOM entry points of
+:mod:`repro.xmlmodel.parser` rebuild an :class:`~repro.xmlmodel.tree.XMLTree`
+from its event stream, which is the right model for the paper's
+*schema-level* algorithms (propagation, covers, implication); the
+*data-level* pipeline — shredding documents through a transformation and
+checking key satisfaction — consumes the events directly, so it handles
+documents far larger than a comfortable DOM:
 
 * :func:`iter_events` tokenizes a document into a flat stream of
   ``start`` / ``attr`` / ``text`` / ``end`` events.  The input may be a
@@ -15,17 +15,17 @@ handle documents far larger than a comfortable DOM.  This module provides the
   peak memory is independent of document size.
 * :func:`iter_tree_events` replays an in-memory tree as the same event
   stream, so every streaming consumer can also run over DOM input.
-* :func:`tree_from_events` rebuilds a DOM from an event stream — the bridge
-  used by the differential test suite to pin the tokenizer against the
-  recursive-descent parser event-for-event and node-for-node.
+* :func:`tree_from_events` / :func:`element_from_events` rebuild a DOM
+  from an event stream; ``parse_document`` is
+  ``tree_from_events(iter_events(...))``.
 
-The tokenizer accepts exactly the dialect of the DOM parser (predefined
-entities, character references, CDATA, comments, processing instructions,
-a skipped DOCTYPE) and mirrors its text-node segmentation: character data
-and CDATA accumulate into a single text event, which is flushed by element
-boundaries, comments and processing instructions, and dropped when
-whitespace-only under ``strip_whitespace``.  ``tree_from_events(iter_events(s))``
-is therefore structurally identical to ``parse_document(s)``.
+The dialect is a small, explicit subset of XML (predefined entities,
+character references, CDATA, comments, processing instructions, a skipped
+DOCTYPE).  Character data and CDATA accumulate into a single text event,
+which is flushed by element boundaries, comments and processing
+instructions, and dropped when whitespace-only under ``strip_whitespace``.
+The recursive-descent parser this scanner replaced is kept in the test
+suite as the reference for that dialect and its error messages.
 
 Event order mirrors the document-order node numbering of Figure 1: an
 element's ``start`` is followed by one ``attr`` event per attribute (in
@@ -105,10 +105,10 @@ _COMPACT_THRESHOLD = 1 << 16
 _NAME_DELIMITERS = "=<>/?\"'"
 
 # Hot-path scanners for the in-memory tokenizer.  The character classes are
-# exactly the DOM parser's: a name runs until whitespace or one of
+# the chunked tokenizer's: a name runs until whitespace or one of
 # ``=<>/?"'``; attribute values are quoted, quotes cannot be escaped other
 # than via entities.  Inputs the regexes cannot handle fall back to the
-# character-level code, which reproduces the DOM parser's error messages.
+# character-level code, which reproduces the chunked tokenizer's errors.
 _NAME_RE = re.compile(r"[^\s=<>/?\"']+")
 _ATTR_RE = re.compile(r"\s*([^\s=<>/?\"']+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)')")
 _END_TAG_RE = re.compile(r"([^\s=<>/?\"']+)\s*>")
@@ -142,7 +142,6 @@ def iter_events(
     source: Union[str, bytes, "os.PathLike[str]", IO[str], Iterable[str]],
     strip_whitespace: bool = True,
     chunk_size: int = _DEFAULT_CHUNK,
-    engine: Optional[str] = None,
     skip=None,
 ) -> Iterator[Event]:
     """Tokenize an XML document into a stream of events.
@@ -150,29 +149,23 @@ def iter_events(
     ``source`` may be a string, a byte buffer (``bytes`` / ``memoryview`` /
     ``mmap``, UTF-8), a filesystem path (:class:`os.PathLike`), a file-like
     object (read in ``chunk_size`` pieces) or an iterable of string chunks.
-    ``strip_whitespace`` drops whitespace-only text events, matching the
-    DOM parser's default.
+    ``strip_whitespace`` drops whitespace-only text events.
 
-    ``engine`` selects the tokenizer backend (default: the
-    ``REPRO_TOKENIZER`` environment variable, else ``auto``):
-
-    * ``pure`` — the in-tree reference tokenizer below;
-    * ``expat`` — the C front-end of :mod:`repro.xmlmodel.accel`, which
-      emits the identical event stream and errors (falling back to a pure
-      replay whenever the C dialect could disagree);
-    * ``auto`` — accelerate in-memory strings, buffers and paths; keep
-      file-like objects and chunk iterables on the pure incremental
-      tokenizer, preserving its bounded-memory contract.  When a
-      non-empty ``skip`` set accompanies an in-memory string, ``auto``
-      prefers the pure scanner: its bulk fast-forward elides skippable
-      regions at C speed, which beats a C parser that must still visit
-      every node.
+    The source alone picks the backend.  In-memory strings, buffers and
+    paths large enough to pay for it run on the expat front end of
+    :mod:`repro.xmlmodel.accel`, which emits the identical event stream and
+    errors (falling back to a pure replay whenever the C dialect could
+    disagree).  Small inputs, file-like objects and chunk iterables run on
+    the pure tokenizer below, which keeps the chunked path's bounded-memory
+    contract.  A string with a non-empty ``skip`` set also stays on the
+    pure scanner: its bulk fast-forward elides skippable regions at C
+    speed, which beats a C parser that must still visit every node.
 
     On the pure path a fully in-memory string takes a specialized
     single-buffer scanner (the hot path of the shredding benchmarks);
     everything else runs through the incremental chunked tokenizer.  All
     backends accept the same dialect and raise the same errors (pinned
-    against each other, and against the DOM parser, by the test suite).
+    against each other by the test suite).
 
     ``skip`` is an optional :class:`~repro.xmlmodel.static.SkipSet`: when a
     non-root element opens whose label the set marks skippable, the
@@ -192,19 +185,12 @@ def iter_events(
     """
     from repro.xmlmodel import accel
 
-    resolved = accel.resolve_engine(engine)
-    if resolved == accel.AUTO and skip and isinstance(source, str):
-        # Under a selective plan the pure scanner is the fastest backend:
-        # its bulk fast-forward settles skippable regions with a few
-        # C-level scans, while a C parser still pays a Python callback
-        # per element it visits.  Explicit engine requests (argument or
-        # environment variable) are honored unchanged.
+    if skip and isinstance(source, str):
         accel.record_call(accel.PURE, len(source), fallback="skip-prefers-pure")
         return _string_events(source, strip_whitespace, skip)
-    if resolved != accel.PURE:
-        accelerated = accel.accelerated_events(source, strip_whitespace, resolved, skip)
-        if accelerated is not None:
-            return accelerated
+    accelerated = accel.accelerated_events(source, strip_whitespace, skip)
+    if accelerated is not None:
+        return accelerated
     if obs.enabled():
         accel.record_call(accel.PURE, _source_size(source))
     if hasattr(source, "__fspath__"):
@@ -448,7 +434,7 @@ def _string_events(source: str, strip_whitespace: bool, skip=None) -> Iterator[E
                     pos = end + 3
                     continue
                 # anything else after '<!' parses as an element whose name
-                # starts with '!', exactly like the DOM parser
+                # starts with '!', exactly like the chunked tokenizer
             elif nxt == "?":
                 if text_parts:
                     content = "".join(text_parts)
@@ -497,8 +483,8 @@ def _skip_bulk_region(source, pos, name, verifies, keep_all):
     reject are ill-formed documents whose per-label counts nevertheless
     balance — interleaved mismatched pairs (``<a><b></a></b>``) and
     tag-shaped markup hidden inside attribute values.  Well-formed
-    documents (everything the serializer emits, and everything the DOM
-    parser accepts) are counted identically by construction, which the
+    documents (everything the serializer emits, and everything the
+    tokenizer accepts) are counted identically by construction, which the
     differential suites pin stream-for-stream.
     """
     find = source.find
@@ -714,14 +700,13 @@ def iter_tree_events(tree_or_element: Union[XMLTree, ElementNode]) -> Iterator[E
 def as_events(
     source: EventSource,
     strip_whitespace: bool = True,
-    engine: Optional[str] = None,
     skip=None,
 ) -> Iterator[Event]:
     """Coerce any supported source into an event stream.
 
     Accepts trees/elements (replayed), strings, byte buffers, paths and
     file-like objects (tokenized via :func:`iter_events`, honoring
-    ``engine`` and ``skip``), iterables of string chunks (tokenized) and
+    ``skip``), iterables of string chunks (tokenized) and
     iterables that already yield :class:`Event` objects (passed through).
     """
     if isinstance(source, (XMLTree, ElementNode)):
@@ -733,7 +718,7 @@ def as_events(
         or hasattr(source, "__fspath__")
     ):
         return iter_events(
-            source, strip_whitespace=strip_whitespace, engine=engine, skip=skip
+            source, strip_whitespace=strip_whitespace, skip=skip
         )  # type: ignore[arg-type]
     iterator = iter(source)  # type: ignore[arg-type]
     try:
@@ -744,7 +729,7 @@ def as_events(
     if isinstance(first, Event):
         return rest  # type: ignore[return-value]
     return iter_events(
-        rest, strip_whitespace=strip_whitespace, engine=engine, skip=skip
+        rest, strip_whitespace=strip_whitespace, skip=skip
     )  # type: ignore[arg-type]
 
 
@@ -831,7 +816,7 @@ class _Tokenizer:
     The buffer holds at most the current token plus one pulled-ahead chunk;
     the consumed prefix is dropped once it crosses ``_COMPACT_THRESHOLD``,
     so memory stays bounded regardless of document length.  ``base + pos``
-    is the absolute offset used in error messages, matching the DOM parser.
+    is the absolute offset used in error messages, matching the string scanner.
     """
 
     def __init__(self, chunks: Iterator[str], strip_whitespace: bool) -> None:
@@ -901,7 +886,7 @@ class _Tokenizer:
             if not self._pull():
                 return -1
 
-    # -- lexical helpers (mirroring the DOM parser) --------------------
+    # -- lexical helpers --------------------------------------------------
     def _skip_spaces(self) -> None:
         while True:
             buf, length = self.buf, len(self.buf)

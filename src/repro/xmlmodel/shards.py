@@ -113,7 +113,6 @@ class DocumentShards:
         self,
         index: int,
         strip_whitespace: bool = True,
-        engine: Optional[str] = None,
         skip=None,
     ) -> Iterator[Event]:
         """Replay one slice as events (synthetic root start/end dropped).
@@ -128,13 +127,10 @@ class DocumentShards:
             self.root_tag,
             self.slice_text(index),
             strip_whitespace=strip_whitespace,
-            engine=engine,
             skip=skip,
         )
 
-    def replay_events(
-        self, strip_whitespace: bool = True, engine: Optional[str] = None
-    ) -> Iterator[Event]:
+    def replay_events(self, strip_whitespace: bool = True) -> Iterator[Event]:
         """The whole document as events, reassembled from the shards.
 
         Used by the differential tests: this must equal
@@ -142,9 +138,7 @@ class DocumentShards:
         """
         yield from self.prologue_events
         for index in range(len(self.slices)):
-            yield from self.shard_events(
-                index, strip_whitespace=strip_whitespace, engine=engine
-            )
+            yield from self.shard_events(index, strip_whitespace=strip_whitespace)
         yield Event(END, self.root_tag)
 
 
@@ -152,7 +146,6 @@ def fragment_events(
     root_tag: str,
     fragment: str,
     strip_whitespace: bool = True,
-    engine: Optional[str] = None,
     skip=None,
 ) -> Iterator[Event]:
     """Replay a content fragment as events, as if it sat under ``root_tag``.
@@ -165,13 +158,11 @@ def fragment_events(
     sub-sequence.  A malformed fragment raises the tokenizer's own
     :exc:`~repro.xmlmodel.parser.XMLSyntaxError` lazily, mid-iteration —
     consumers that must stay consistent drain the whole stream before
-    committing any state (as the incremental engine does).  ``engine``
-    selects the tokenizer backend, as in :func:`iter_events`.
+    committing any state (as the incremental engine does).
     """
     events = iter_events(
         f"<{root_tag}>{fragment}</{root_tag}>",
         strip_whitespace=strip_whitespace,
-        engine=engine,
         skip=skip,
     )
     next(events)  # the synthetic root START
@@ -249,13 +240,12 @@ class MappedDocumentShards:
         self,
         index: int,
         strip_whitespace: bool = True,
-        engine: Optional[str] = None,
         skip=None,
     ) -> Iterator[Event]:
         """Replay one mapped slice as events, zero-copy into the C backend.
 
-        With a pure ``engine`` (or when the capability probe declines) the
-        slice decodes once in the worker — still never pickled or shipped.
+        When the capability probe declines the slice decodes once in the
+        worker — still never pickled or shipped.
         """
         from repro.xmlmodel.accel import fragment_byte_events
 
@@ -263,18 +253,13 @@ class MappedDocumentShards:
             self.root_tag,
             self.slice_bytes(index),
             strip_whitespace=strip_whitespace,
-            engine=engine,
             skip=skip,
         )
 
-    def replay_events(
-        self, strip_whitespace: bool = True, engine: Optional[str] = None
-    ) -> Iterator[Event]:
+    def replay_events(self, strip_whitespace: bool = True) -> Iterator[Event]:
         yield from self.prologue_events
         for index in range(len(self.slices)):
-            yield from self.shard_events(
-                index, strip_whitespace=strip_whitespace, engine=engine
-            )
+            yield from self.shard_events(index, strip_whitespace=strip_whitespace)
         yield Event(END, self.root_tag)
 
     def close(self) -> None:

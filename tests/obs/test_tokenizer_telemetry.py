@@ -1,21 +1,29 @@
 """Tokenizer telemetry: which backend served each call, and why pure ran.
 
 ``tokenizer.calls`` is labelled with the backend that served the call
-(``pure`` or ``expat``, never the ``auto`` request), and every pure
+(``pure`` or ``expat``), and every pure
 fallback is counted under ``tokenizer.fallbacks`` with its reason:
 ``probe``, ``midstream-error`` or ``skip-prefers-pure``.  The registry is
 touched a fixed number of times per call, never once per event.
+
+These tests pin the backend rule itself, so they keep it even where the
+rest of the suite runs on the pure tokenizer alone.
 """
+
+import io
 
 import pytest
 
 from repro import obs
 from repro.keys.key import parse_key
 from repro.obs.metrics import MetricsRegistry
+from repro.xmlmodel import accel
 from repro.xmlmodel.accel import fragment_byte_events
 from repro.xmlmodel.dtd import parse_dtd
-from repro.xmlmodel.events import SKIP, iter_events
+from repro.xmlmodel.events import SKIP, _string_events, iter_events
 from repro.xmlmodel.static import compile_plan
+
+pytestmark = pytest.mark.backend_rule
 
 #: Comfortably above the size below which ``auto`` keeps strings on pure.
 ITEMS = "".join(f"<i n='{n}'><a>{n}</a></i>" for n in range(400))
@@ -66,11 +74,20 @@ class TestServedBackendLabel:
         assert calls(registry, "pure") == 1
         assert all_fallbacks(registry) == 0
 
-    def test_explicit_pure_is_labelled_pure(self):
-        _, registry = drain(DOCUMENT, engine="pure")
+    def test_explicit_pure_is_labelled_pure(self, monkeypatch):
+        # With the backend rule declining every source, pure serves the
+        # call and counts every character it read.
+        monkeypatch.setattr(accel, "_expat_serves", lambda source, min_size=0: False)
+        _, registry = drain(DOCUMENT)
         assert calls(registry, "pure") == 1
         assert calls(registry, "expat") == 0
         assert registry.snapshot().counter("tokenizer.bytes") == len(DOCUMENT)
+
+    def test_file_likes_are_labelled_pure_without_a_fallback(self):
+        _, registry = drain(io.StringIO(DOCUMENT))
+        assert calls(registry, "pure") == 1
+        assert calls(registry, "expat") == 0
+        assert all_fallbacks(registry) == 0
 
     def test_byte_fragments_are_labelled_with_expat(self):
         with obs.collect() as registry:
@@ -79,8 +96,14 @@ class TestServedBackendLabel:
         assert all_fallbacks(registry) == 0
 
     @pytest.mark.parametrize("engine", ["auto", "expat", "pure"])
-    def test_registry_is_touched_per_call_not_per_event(self, engine):
-        events, registry = drain(DOCUMENT, engine=engine)
+    def test_registry_is_touched_per_call_not_per_event(self, monkeypatch, engine):
+        if engine == "pure":
+            monkeypatch.setattr(accel, "_expat_serves", lambda source, min_size=0: False)
+        if engine == "expat":
+            monkeypatch.setattr(accel, "_AUTO_THRESHOLD", 0)
+        events, registry = drain(DOCUMENT)
+        # The default rule serves a document this large with expat.
+        assert calls(registry, "pure" if engine == "pure" else "expat") == 1
         assert len(events) > 1000
         assert registry.touches == 2  # tokenizer.calls + tokenizer.bytes
 
@@ -90,22 +113,22 @@ class TestFallbackReasons:
         # Carriage returns would be normalized by expat: the probe routes
         # the document to pure before any parsing.
         document = DOCUMENT.replace("</r>", "\r\n</r>")
-        events, registry = drain(document, engine="expat")
+        events, registry = drain(document)
         assert calls(registry, "pure") == 1
         assert calls(registry, "expat") == 0
         assert fallbacks(registry, "probe") == 1
         assert all_fallbacks(registry) == 1
-        assert events == list(iter_events(document, engine="pure"))
+        assert events == list(_string_events(document, True))
 
     def test_midstream_error(self):
         # expat rejects the undefined entity after emitting a prefix; pure
         # keeps it literal and replays from there.
         document = DOCUMENT.replace("</r>", "<t>&undefined;</t></r>")
-        events, registry = drain(document, engine="expat")
+        events, registry = drain(document)
         assert calls(registry, "expat") == 1
         assert fallbacks(registry, "midstream-error") == 1
         assert all_fallbacks(registry) == 1
-        assert events == list(iter_events(document, engine="pure"))
+        assert events == list(_string_events(document, True))
 
     def test_skip_prefers_pure(self):
         dtd = parse_dtd(

@@ -17,7 +17,11 @@ replaced are kept here, verbatim in behaviour, as oracles:
 * :mod:`tests.oracles.shred` — the rule shredder that rebuilds each anchor
   subtree as a DOM and re-evaluates every variable's path; the
   event-native :class:`~repro.transform.stream.RuleStreamer` must emit
-  *the same rows in the same order* and equal shard results.
+  *the same rows in the same order* and equal shard results;
+* :mod:`tests.oracles.dom_parser` — the recursive-descent DOM parser;
+  ``parse_document`` and ``parse_fragment``, which build their trees from
+  the event tokenizer, must return *the same trees* (node ids, labels,
+  values) and raise *the same errors* (type, message, offset).
 
 Nothing in ``src/`` imports this package.
 """

@@ -39,6 +39,7 @@ from repro.incremental import IncrementalEngine, insert, replace
 from repro.keys.stream import stream_violations
 from repro.parallel import run_sharded
 from repro.transform.stream import stream_evaluate_rule
+from repro.xmlmodel import accel, events
 from repro.xmlmodel.dtd import parse_dtd, stream_dtd_violations
 from repro.xmlmodel.parser import parse_document
 from repro.xmlmodel.serializer import serialize
@@ -92,6 +93,13 @@ def random_dtds(draw):
     return parse_dtd("\n".join(lines))
 
 
+#: The two tokenizer backends, called directly so both run on any size.
+BACKENDS = {
+    "pure": lambda text, skip=None: events._string_events(text, True, skip),
+    "expat": lambda text, skip=None: accel._buffer_events(text, True, skip),
+}
+
+
 def witness(found):
     """Everything a DTD violation reports."""
     return [(v.kind, v.node_id, v.detail) for v in found]
@@ -106,13 +114,14 @@ class TestPrunedCheckerDifferential:
         tree=xml_documents(),
         keys=st.lists(xml_keys(), min_size=1, max_size=3),
         dtd=random_dtds(),
-        engine=st.sampled_from([None, "pure"]),
+        backend=st.sampled_from(sorted(BACKENDS)),
     )
-    def test_violations_identical(self, tree, keys, dtd, engine):
+    def test_violations_identical(self, tree, keys, dtd, backend):
         compact = serialize(tree, indent=0)
         plan = compile_plan(dtd, keys=keys)
-        unpruned = stream_violations(compact, keys, engine=engine)
-        pruned = stream_violations(compact, keys, engine=engine, plan=plan)
+        tokenize = BACKENDS[backend]
+        unpruned = stream_violations(tokenize(compact), keys)
+        pruned = stream_violations(tokenize(compact, plan.skipset or None), keys)
         assert fingerprint(pruned) == fingerprint(unpruned)
 
     @differential_settings
@@ -120,9 +129,10 @@ class TestPrunedCheckerDifferential:
     def test_backends_agree_under_pruning(self, tree, keys, dtd):
         compact = serialize(tree, indent=0)
         plan = compile_plan(dtd, keys=keys)
-        default_run = stream_violations(compact, keys, plan=plan)
-        pure_run = stream_violations(compact, keys, engine="pure", plan=plan)
-        assert fingerprint(default_run) == fingerprint(pure_run)
+        skip = plan.skipset or None
+        expat_run = stream_violations(BACKENDS["expat"](compact, skip), keys)
+        pure_run = stream_violations(BACKENDS["pure"](compact, skip), keys)
+        assert fingerprint(expat_run) == fingerprint(pure_run)
 
 
 # ----------------------------------------------------------------------
@@ -230,10 +240,10 @@ class TestPrunedIncrementalDifferential:
 # ----------------------------------------------------------------------
 class TestStreamingValidatorDifferential:
     @differential_settings
-    @given(tree=xml_documents(), dtd=random_dtds(), engine=st.sampled_from([None, "pure"]))
-    def test_streaming_matches_dom(self, tree, dtd, engine):
+    @given(tree=xml_documents(), dtd=random_dtds(), backend=st.sampled_from(sorted(BACKENDS)))
+    def test_streaming_matches_dom(self, tree, dtd, backend):
         compact = serialize(tree, indent=0)
-        streamed = stream_dtd_violations(compact, dtd, engine=engine)
+        streamed = stream_dtd_violations(BACKENDS[backend](compact), dtd)
         dom = dtd.validate(parse_document(compact))
         assert witness(streamed) == witness(dom)
 

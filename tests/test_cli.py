@@ -558,21 +558,36 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("engine", ["auto", "pure", "expat"])
     def test_tokenizer_backends_agree_on_exit_and_output(
-        self, violating_workspace, capsys, engine
+        self, violating_workspace, capsys, monkeypatch, engine
     ):
-        # The tokenizer backend is an executor choice: every backend must
-        # produce the same report and the same exit code.
+        # The tokenizer backend is an executor detail: the default rule,
+        # the pure tokenizer and expat (forced here even on a small file)
+        # must produce the same report and the same exit code.
+        from repro.xmlmodel import accel
+
         ws = violating_workspace
         argv = ["shred", "--transform", ws["transform"], "--xml", ws["bad_xml"],
-                "--keys", ws["keys"], "--tokenizer"]
-        assert main(argv + ["pure"]) == 1
+                "--keys", ws["keys"]]
+
+        def decline(source, min_size=0):
+            return False
+
+        with monkeypatch.context() as patched:
+            patched.setattr(accel, "_expat_serves", decline)
+            assert main(argv) == 1
         pure_out = capsys.readouterr().out
-        assert main(argv + [engine]) == 1
+        if engine == "pure":
+            monkeypatch.setattr(accel, "_expat_serves", decline)
+        if engine == "expat":
+            monkeypatch.setattr(accel, "_AUTO_THRESHOLD", 0)
+        assert main(argv) == 1
         assert capsys.readouterr().out == pure_out
 
     @pytest.mark.parametrize("tier", ["accel", "lxml"])
     @pytest.mark.parametrize("command", ["check-doc", "shred", "load"])
     def test_removed_tokenizer_tiers_exit_two(self, violating_workspace, command, tier):
+        # The --tokenizer flag is gone altogether: any use of it, with a
+        # once-valid or a long-removed tier, is a usage error.
         ws = violating_workspace
         argv = {
             "check-doc": ["check-doc", "--keys", ws["keys"], "--xml", ws["xml"]],
@@ -584,12 +599,13 @@ class TestExitCodes:
             main(argv + ["--tokenizer", tier])
         assert info.value.code == 2
 
-    def test_unknown_tokenizer_is_an_argparse_error(self, violating_workspace):
+    def test_unknown_tokenizer_is_an_argparse_error(self, violating_workspace, capsys):
         ws = violating_workspace
         with pytest.raises(SystemExit) as info:
             main(["check-doc", "--keys", ws["keys"], "--xml", ws["xml"],
                   "--tokenizer", "bogus"])
         assert info.value.code == 2
+        assert "--tokenizer" in capsys.readouterr().err
 
 
 class TestBackendSelection:
@@ -650,15 +666,6 @@ class TestEnvironmentErrors:
                      "--xml", ws["xml"], "--stream"])
         assert code == 2
         assert "REPRO_JOBS" in capsys.readouterr().err
-
-    def test_malformed_repro_tokenizer_exit_two(
-        self, violating_workspace, capsys, monkeypatch
-    ):
-        ws = violating_workspace
-        monkeypatch.setenv("REPRO_TOKENIZER", "bogus")
-        code = main(["check-doc", "--keys", ws["keys"], "--xml", ws["xml"]])
-        assert code == 2
-        assert "tokenizer" in capsys.readouterr().err
 
     def test_malformed_repro_backend_exit_two(
         self, violating_workspace, capsys, monkeypatch
@@ -724,6 +731,54 @@ class TestCrashPaths:
         process.stderr.close()
         assert code == 141, stderr
         assert stderr == ""
+
+
+class TestDeepDocuments:
+    """The DOM plane reads documents nested deeper than Python's recursion
+    limit: it builds its tree from the event stream, like every other plane."""
+
+    DEPTH = 3000
+
+    @pytest.fixture()
+    def deep(self, tmp_path):
+        # One attribute per level; the innermost repeats the value of the
+        # root's child, so the key below has exactly one violation.
+        values = [str(level) for level in range(self.DEPTH - 1)] + ["1"]
+        xml = tmp_path / "deep.xml"
+        xml.write_text("".join(f'<e a="{value}">' for value in values) + "</e>" * self.DEPTH)
+        rules = tmp_path / "rules.dsl"
+        rules.write_text("table t\n  var x <- xr : //e\n  var y <- x : @a\n  field a = value(y)\n")
+        keys = tmp_path / "keys.txt"
+        keys.write_text("K1 = (., (//e, {@a}))\n")
+        return {"xml": str(xml), "transform": str(rules), "keys": str(keys)}
+
+    @staticmethod
+    def run(*argv):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def test_dom_shred_exits_zero(self, deep):
+        code, out, err = self.run("shred", "--transform", deep["transform"], "--xml", deep["xml"])
+        assert code == 0, err
+        assert "Traceback" not in err
+        assert len(out.splitlines()) > self.DEPTH - 1  # one line per distinct row
+
+    def test_dom_check_doc_reports_the_violation(self, deep):
+        code, out, err = self.run("check-doc", "--dom", "--keys", deep["keys"], "--xml", deep["xml"])
+        assert code == 1, err
+        assert "Traceback" not in err
+        assert "key violated: K1" in out
 
 
 class TestStatsFlags:

@@ -16,8 +16,9 @@ from repro.xmlmodel.events import (
     iter_tree_events,
     tree_from_events,
 )
-from repro.xmlmodel.parser import XMLSyntaxError, parse_document
+from repro.xmlmodel.parser import XMLSyntaxError
 from repro.xmlmodel.serializer import serialize
+from tests.oracles import dom_parser
 
 
 def chunked(text, size):
@@ -116,7 +117,7 @@ class TestErrors:
     )
     def test_errors_match_dom_parser(self, text):
         with pytest.raises(XMLSyntaxError) as dom_error:
-            parse_document(text)
+            dom_parser.parse_document(text)
         with pytest.raises(XMLSyntaxError) as stream_error:
             list(iter_events(text))
         assert str(stream_error.value) == str(dom_error.value)
@@ -126,7 +127,7 @@ class TestTreeBridge:
     def test_tree_from_events_matches_dom_parse(self, figure1):
         text = serialize(figure1, xml_declaration=True)
         via_events = tree_from_events(iter_events(text))
-        via_dom = parse_document(text)
+        via_dom = dom_parser.parse_document(text)
         assert serialize(via_events) == serialize(via_dom)
         assert [(n.node_id, n.label) for n in via_events.iter_nodes()] == [
             (n.node_id, n.label) for n in via_dom.iter_nodes()

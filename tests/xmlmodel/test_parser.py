@@ -153,3 +153,37 @@ class TestRoundTrip:
         tree = parse_document(source)
         assert len(tree.elements_by_tag("book")) == 2
         assert len(tree.elements_by_tag("chapter")) == 3
+
+
+def deep_document(depth):
+    """``depth`` nested ``<e>`` elements, each with one attribute, around a text."""
+    return "".join(f'<e a="{level}">' for level in range(depth)) + "x" + "</e>" * depth
+
+
+class TestDeepNesting:
+    """Nesting depth is bounded by memory, not by the interpreter stack."""
+
+    DEPTH = 5000
+
+    def test_parse_document_assigns_document_order_ids(self):
+        tree = parse_document(deep_document(self.DEPTH))
+        assert len(tree) == 2 * self.DEPTH + 1
+        for level in (0, 1, self.DEPTH // 2, self.DEPTH - 1):
+            element = tree.node(2 * level)
+            assert element.label == "e"
+            assert element.attribute("a").node_id == 2 * level + 1
+            assert element.attribute_value("a") == str(level)
+        assert tree.node(2 * self.DEPTH).text == "x"
+
+    def test_parse_fragment_keeps_every_level(self):
+        element = parse_fragment(deep_document(self.DEPTH))
+        levels = 0
+        while True:
+            assert element.attribute_value("a") == str(levels)
+            levels += 1
+            children = element.child_elements()
+            if not children:
+                break
+            (element,) = children
+        assert levels == self.DEPTH
+        assert element.text_content() == "x"

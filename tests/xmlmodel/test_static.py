@@ -310,15 +310,15 @@ class TestBulkFastForward:
         calls = []
         original = accel.accelerated_events
 
-        def spying(source, strip_whitespace, resolved, skip=None):
-            calls.append(resolved)
-            return original(source, strip_whitespace, resolved, skip)
+        def spying(source, strip_whitespace, skip=None):
+            calls.append(skip)
+            return original(source, strip_whitespace, skip)
 
         monkeypatch.setattr(accel, "accelerated_events", spying)
         assert any(e.kind == SKIP for e in iter_events(DOC, skip=plan.skipset))
         assert calls == []  # the pure scanner handled it directly
-        list(iter_events(DOC, engine="expat", skip=plan.skipset))
-        assert calls == ["expat"]  # explicit requests are honored
+        list(iter_events(DOC))
+        assert calls == [None]  # without a skip set the backend rule decides
 
 
 class TestSkipEvents:
