@@ -12,6 +12,11 @@ engine behind ``repro.relational.fd.minimize`` against the frozenset oracle
 it replaced (``tests/oracles/fd.py``).  ``test_engine_speedup_report`` turns
 the comparison into a pass/fail gate: the bitset engine must be at least 3×
 faster at the largest seed size.
+
+``test_ddl_speedup_report`` gates the last step of the schema path, strict
+DDL for the 500-field cover: the mask-level key partition of
+``repro.storage.ddl`` must compile the same ``TableDDL`` as the name-level
+partition it replaced (``tests/oracles/ddl.py``) and be at least 4× faster.
 """
 
 import time
@@ -21,7 +26,9 @@ import pytest
 from repro.core.minimum_cover import minimum_cover_from_keys
 from repro.core.naive import naive_minimum_cover
 from repro.relational.fd import minimize
+from repro.storage import compile_table_ddl
 
+from tests.oracles import ddl as ddl_oracle
 from tests.oracles import fd as oracle
 
 
@@ -68,6 +75,16 @@ def test_minimum_cover_500_fields(benchmark, workload_cache):
     assert len(result.cover) > 0
 
 
+def best_of(callable_, repeats=3):
+    """The best ``perf_counter`` time of ``repeats`` calls."""
+    times = []
+    for _ in range(repeats):
+        begin = time.perf_counter()
+        callable_()
+        times.append(time.perf_counter() - begin)
+    return min(times)
+
+
 # ----------------------------------------------------------------------
 # Old vs. new FD engine on the Fig. 7(a) minimisation stage.
 # ----------------------------------------------------------------------
@@ -104,15 +121,6 @@ def test_engine_speedup_report(generated_fds_cache):
     Plain ``perf_counter`` timing (best of three) so the gate also runs
     under ``--benchmark-disable``; prints a small old-vs-new table.
     """
-
-    def best_of(callable_, repeats=3):
-        times = []
-        for _ in range(repeats):
-            begin = time.perf_counter()
-            callable_()
-            times.append(time.perf_counter() - begin)
-        return min(times)
-
     rows = []
     for num_fields in ENGINE_FIELD_GRID:
         generated = generated_fds_cache(num_fields)
@@ -128,4 +136,31 @@ def test_engine_speedup_report(generated_fds_cache):
     assert largest[4] >= 3.0, (
         f"bitset engine only {largest[4]:.1f}x faster than the frozenset "
         f"oracle at {largest[0]} fields (expected >= 3x)"
+    )
+
+
+# ----------------------------------------------------------------------
+# Mask-level vs. name-level DDL key partition on the 500-field cover.
+# ----------------------------------------------------------------------
+def test_ddl_speedup_report(workload_cache):
+    """Strict DDL for the 500-field cover: identical output, ≥ 4× faster.
+
+    Plain ``perf_counter`` timing (best of three), like the engine gate.
+    """
+    workload = workload_cache(500, DEPTH, KEYS)
+    cover = minimum_cover_from_keys(workload.keys, workload.rule).cover
+    schema = workload.rule.schema()
+    table = compile_table_ddl(schema, cover)
+    assert table == ddl_oracle.compile_table_ddl(schema, cover)
+    fast = best_of(lambda: compile_table_ddl(schema, cover))
+    slow = best_of(lambda: ddl_oracle.compile_table_ddl(schema, cover))
+    speedup = slow / fast
+    print("\nfields  cover FDs  masks       name sets   speedup")
+    print(
+        f"{len(schema.attributes):6d}  {len(cover):9d}  {fast * 1000:8.2f}ms  "
+        f"{slow * 1000:8.2f}ms  {speedup:6.1f}x"
+    )
+    assert speedup >= 4.0, (
+        f"mask-level DDL only {speedup:.1f}x faster than the name-level "
+        f"oracle at {len(schema.attributes)} fields (expected >= 4x)"
     )

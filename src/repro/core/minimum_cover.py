@@ -168,7 +168,7 @@ def minimum_cover_from_keys(
             for key in key_list:
                 if not key.attributes:
                     continue
-                if not key.attributes <= set(available):
+                if not key.attributes <= available.keys():
                     continue
                 if not engine.implies_parts(ancestor_path, relative_path, key.attributes):
                     continue

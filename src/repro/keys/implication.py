@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.keys.key import XMLKey
+from repro.keys.key import XMLKey, _normalise_attributes
 from repro.relational.bitset import AttributeUniverse
 from repro.xmlmodel.paths import (
     PathExpression,
@@ -152,7 +152,12 @@ class ImplicationEngine:
         self, context: PathLike, target: PathLike, attributes: Iterable[str] = ()
     ) -> bool:
         """Convenience overload taking the three components of the key."""
-        return self.implies(XMLKey(context, target, attributes))
+        self.query_count += 1
+        return self._implies(
+            PathExpression.of(context),
+            PathExpression.of(target),
+            _normalise_attributes(attributes),
+        )
 
     def attributes_exist(self, path: PathLike, attributes: Iterable[str]) -> bool:
         """Memoised ``exist`` test against this engine's key set.
@@ -216,10 +221,9 @@ class ImplicationEngine:
         # applied against every key of Σ.
         if self._variant_covers(context, target, attributes):
             return True
-        # Rule "prefix uniqueness": split the target at every step boundary.
-        for prefix, suffix in target.prefixes():
-            if prefix.is_epsilon or suffix.is_epsilon:
-                continue
+        # Rule "prefix uniqueness": split the target at every inner step
+        # boundary.
+        for prefix, suffix in target.proper_splits():
             if self._implies(context, prefix, frozenset()) and self._implies(
                 concat(context, prefix), suffix, attributes
             ):

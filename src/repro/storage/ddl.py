@@ -40,7 +40,7 @@ Empty-determinant FDs (``∅ → X``: the relation holds at most one distinct
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.relational.bitset import BitFDSet
 from repro.relational.fd import FunctionalDependency, coerce_fd
@@ -102,45 +102,73 @@ class StorageDDL:
             raise KeyError(f"no table named {name!r} in this DDL plan") from None
 
 
-def _is_key_fd(
-    fd: FunctionalDependency,
-    attributes: FrozenSet[str],
-    closure: Callable[[Iterable[str]], FrozenSet[str]],
-) -> bool:
-    """Does ``fd.lhs`` determine every attribute of the relation?"""
-    return attributes <= closure(fd.lhs)
+def _key_partition(
+    schema: RelationSchema, local_fds: List[FunctionalDependency]
+) -> Tuple[List[FrozenSet[str]], List[FunctionalDependency], List[FunctionalDependency]]:
+    """``(key_sets, index_fds, unenforced)`` of one relation, on masks.
 
+    Key sets come first as declared, then the canonical minimal key
+    recovered from the cover, then the determinants of key FDs (FDs whose
+    left-hand side determines every attribute); the remaining non-trivial
+    FDs are index FDs, or unenforced when their determinant is empty.
 
-def _canonical_minimal_key(
-    attributes: FrozenSet[str],
-    local_fds: List[FunctionalDependency],
-    closure: Callable[[Iterable[str]], FrozenSet[str]],
-) -> Optional[FrozenSet[str]]:
-    """One deterministic minimal candidate key under the local FDs.
-
-    Greedy reduction from the full attribute set in sorted order: an
-    attribute is dropped whenever the remainder still determines the whole
-    relation.  A minimized cover often states its key FDs through an
-    equivalent-attribute rewrite (``{a0, k1} → …`` where ``a0 ↔ k0``), so
-    the *natural* key of the relation — the spine of propagated XML keys —
-    need not appear as any cover FD's determinant; this reduction recovers
-    it.  Returns ``None`` when no proper key exists (the only "key" is the
-    whole attribute set — not a propagated constraint, so nothing to
-    enforce).
+    The canonical key is a greedy reduction from the full attribute set in
+    sorted name order: an attribute is dropped whenever the remainder still
+    determines the whole relation.  A minimized cover often states its key
+    FDs through an equivalent-attribute rewrite (``{a0, k1} → …`` where
+    ``a0 ↔ k0``), so the *natural* key of the relation — the spine of
+    propagated XML keys — need not appear as any cover FD's determinant;
+    this reduction recovers it.  While ``K⁺`` covers the relation, ``K − A``
+    is still a superkey iff ``A ∈ (K − A)⁺`` (Lucchesi & Osborn), so each
+    probe only runs the closure until ``A`` appears, and an attribute no FD
+    produces (in no ``rhs − lhs``) is kept without a closure at all.  By
+    the same producer argument an FD is a key FD only if every attribute
+    is in its LHS or produced by some FD.
     """
-    if not local_fds:
-        return None
-    key = set(attributes)
-    for attribute in sorted(attributes):
-        candidate = key - {attribute}
-        if attributes <= closure(candidate):
-            key = candidate
-    if not key or key == set(attributes):
+    key_sets: List[FrozenSet[str]] = []
+    for declared in schema.keys:
+        if declared and declared not in key_sets:
+            key_sets.append(declared)
+    # One interned pool answers every closure probe of this table; its
+    # positions are the positions of ``local_fds``.
+    pool = BitFDSet.from_fds(local_fds)
+    universe = pool.universe
+    full = universe.mask(schema.attributes)
+    produced = 0
+    for lhs, rhs in pool.masks():
+        produced |= rhs & ~lhs
+    if local_fds:
+        key = full
+        for position in universe.sorted_bits(full):
+            bit = 1 << position
+            if produced & bit and pool.closure_mask(key & ~bit, until=bit) & bit:
+                key &= ~bit
         # Empty: every attribute is constant (∅ → X covers the relation) —
         # "at most one distinct row" has no UNIQUE/index spelling, like the
-        # other empty-determinant FDs.  Full: no proper key exists.
-        return None
-    return frozenset(key)
+        # other empty-determinant FDs.  Full: no proper key exists, so there
+        # is no propagated constraint to enforce.
+        if key and key != full:
+            canonical = universe.names(key)
+            if canonical not in key_sets:
+                key_sets.append(canonical)
+    index_fds: List[FunctionalDependency] = []
+    unenforced: List[FunctionalDependency] = []
+    for position, fd in enumerate(local_fds):
+        if fd.is_trivial:
+            continue
+        if not fd.lhs:
+            unenforced.append(fd)
+            continue
+        lhs = pool.lhs_mask(position)
+        determines_all = not full & ~(produced | lhs) and not full & ~pool.closure_mask(
+            lhs, until=full
+        )
+        if determines_all:
+            if fd.lhs not in key_sets:
+                key_sets.append(fd.lhs)
+        else:
+            index_fds.append(fd)
+    return key_sets, index_fds, unenforced
 
 
 def compile_table_ddl(
@@ -181,30 +209,7 @@ def compile_table_ddl(
         if fd.attributes <= attributes
     ]
 
-    # Partition: key sets (declared keys first, then the canonical minimal
-    # key recovered from the cover, then key-FD determinants),
-    # supporting-index FDs, unenforceable FDs.
-    key_sets: List[FrozenSet[str]] = []
-    for declared in schema.keys:
-        if declared and declared not in key_sets:
-            key_sets.append(declared)
-    # One interned pool answers every closure probe of this table.
-    closure = BitFDSet.from_fds(local_fds).closure
-    canonical = _canonical_minimal_key(attributes, local_fds, closure)
-    if canonical is not None and canonical not in key_sets:
-        key_sets.append(canonical)
-    index_fds: List[FunctionalDependency] = []
-    unenforced: List[FunctionalDependency] = []
-    for fd in local_fds:
-        if fd.is_trivial:
-            continue
-        if not fd.lhs:
-            unenforced.append(fd)
-        elif _is_key_fd(fd, attributes, closure):
-            if fd.lhs not in key_sets:
-                key_sets.append(fd.lhs)
-        else:
-            index_fds.append(fd)
+    key_sets, index_fds, unenforced = _key_partition(schema, local_fds)
 
     # The CREATE TABLE carries the key constraints inline only in strict
     # mode; a shadow schema holds the effective key list (declared keys may

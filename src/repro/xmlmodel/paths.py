@@ -253,11 +253,22 @@ class PathExpression:
         Used by the target-to-context inference rule of key implication: from
         key ``(C, (P1/P2, S))`` one may derive ``(C/P1, (P2, S))``.
         """
-        for cut in range(len(self.steps) + 1):
-            yield (
-                PathExpression(self.steps[:cut]),
-                PathExpression(self.steps[cut:]),
-            )
+        yield _EPSILON, self
+        yield from self.proper_splits()
+        if self.steps:
+            yield self, _EPSILON
+
+    def proper_splits(self) -> Iterator[Tuple["PathExpression", "PathExpression"]]:
+        """The splits ``(P1, P2)`` of ``self = P1/P2`` with both parts non-empty.
+
+        Generated lazily and not cached: the prefix-uniqueness rule of key
+        implication usually stops at the first split that works, and a
+        cache on the interned expression would keep every sub-path of every
+        path the intern caches hold alive.
+        """
+        steps = self.steps
+        for cut in range(1, len(steps)):
+            yield PathExpression(steps[:cut]), PathExpression(steps[cut:])
 
     # ------------------------------------------------------------------
     # Evaluation:  n[[P]]

@@ -21,7 +21,11 @@ replaced are kept here, verbatim in behaviour, as oracles:
 * :mod:`tests.oracles.dom_parser` — the recursive-descent DOM parser;
   ``parse_document`` and ``parse_fragment``, which build their trees from
   the event tokenizer, must return *the same trees* (node ids, labels,
-  values) and raise *the same errors* (type, message, offset).
+  values) and raise *the same errors* (type, message, offset);
+* :mod:`tests.oracles.ddl` — the DDL key partition on name sets (greedy
+  canonical-key reduction and key-FD test through name-level closures)
+  and a context manager routing ``compile_table_ddl`` through it; the
+  mask-level partition must compile *the same* ``TableDDL``.
 
 Nothing in ``src/`` imports this package.
 """

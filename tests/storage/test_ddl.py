@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.core.minimum_cover import minimum_cover_from_keys
+from repro.experiments.generators import generate_workload
 from repro.relational.fd import FunctionalDependency as FD
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.storage import compile_ddl, compile_table_ddl
+
+from tests.oracles import ddl as ddl_oracle
+from tests.property.test_ddl_differential import reference_partition
 
 
 @pytest.fixture()
@@ -70,6 +75,23 @@ class TestStrictMode:
         key_sets = ddl.table("u").key_sets
         assert frozenset({"k0", "k1"}) in key_sets
         assert frozenset({"a0", "k1"}) in key_sets
+
+
+class TestFig7aSchema:
+    def test_500_field_schema_matches_references(self):
+        """The mask partition reproduces both references on Fig. 7(a)."""
+        workload = generate_workload(500, depth=5, num_keys=10)
+        cover = minimum_cover_from_keys(workload.keys, workload.rule).cover
+        schema = workload.rule.schema()
+        table = compile_table_ddl(schema, cover)
+        key_sets, index_fds, unenforced = reference_partition(schema, cover)
+        assert table.key_sets == key_sets
+        assert table.index_fds == index_fds
+        assert table.unenforced == unenforced
+        name_level = ddl_oracle.compile_table_ddl(schema, cover)
+        assert table.key_sets == name_level.key_sets
+        assert table.create == name_level.create
+        assert table.indexes == name_level.indexes
 
 
 class TestLogMode:

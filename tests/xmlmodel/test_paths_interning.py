@@ -105,6 +105,38 @@ class TestCopyAndPickle:
         assert len(PathExpression._pool) < grown
 
 
+class TestProperSplits:
+    def test_proper_splits_are_the_inner_prefix_splits(self):
+        path = parse_path("//a/b/@c")
+        inner = [
+            (prefix, suffix)
+            for prefix, suffix in path.prefixes()
+            if not prefix.is_epsilon and not suffix.is_epsilon
+        ]
+        assert list(path.proper_splits()) == inner
+        assert list(parse_path("a").proper_splits()) == []
+        assert list(PathExpression.epsilon().proper_splits()) == []
+
+    def test_splitting_does_not_keep_the_path_alive(self):
+        import gc
+
+        steps = tuple(PathStep.label(f"split_leak{i}") for i in range(4))
+        path = PathExpression(steps)
+        assert len(list(path.proper_splits())) == 3
+        # With the cycle collector off, only reference counting can free
+        # the path: anything the split accessor kept that refers back to
+        # the path (a cached trivial split, say) would keep it pooled.
+        gc.disable()
+        try:
+            del path
+            assert steps not in PathExpression._pool
+        finally:
+            gc.enable()
+        gc.collect()
+        assert steps not in PathExpression._pool
+        assert all(steps[:cut] not in PathExpression._pool for cut in range(1, 4))
+
+
 class TestContainmentMemo:
     def test_repeated_verdicts_are_stable(self):
         covering = parse_path("//book//section")
