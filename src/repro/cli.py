@@ -106,11 +106,13 @@ from repro.core import (
     minimum_cover_from_keys,
 )
 from repro.design import design_from_scratch
-from repro.keys import KeyStreamChecker, parse_keys, violations
+from repro.keys import parse_keys, violations
+from repro.parallel import resolve_jobs, run_sharded
 from repro.relational import sql as sql_module
 from repro.relational.schema import DatabaseSchema
-from repro.transform import StreamShredder, evaluate_transformation, parse_transformation
-from repro.xmlmodel import iter_events, parse_document
+from repro.transform import evaluate_transformation, parse_transformation
+from repro.xmlmodel import parse_document
+from repro.xmlmodel.static import compile_plan
 
 
 log = obs.get_logger("cli")
@@ -212,72 +214,38 @@ def _load_dtd(args: argparse.Namespace):
     return parse_dtd(_read(args.dtd))
 
 
-def _resolved_jobs(args: argparse.Namespace) -> int:
-    """Worker count for a streaming command (``--jobs`` else ``REPRO_JOBS``)."""
-    from repro.parallel import resolve_jobs
-
-    return resolve_jobs(args.jobs)
-
-
 def cmd_shred(args: argparse.Namespace) -> int:
     transformation = _load_transformation(args.transform)
     keys = _load_keys(args.keys) if args.keys else []
     dtd = _load_dtd(args)
     exit_code = 0
     use_stream = args.stream or args.jobs is not None
-    jobs = _resolved_jobs(args) if use_stream else 1
+    jobs = resolve_jobs(args.jobs) if use_stream else 1
     if dtd is not None and jobs > 1:
         log.error(
             "error: streaming DTD validation is a single-pass check and "
             "cannot be sharded; drop --jobs or --dtd"
         )
         return 2
-    if jobs > 1:
-        # The parallel plane: shard at top-level anchor boundaries, map the
-        # shards onto worker processes (shredding and key checking share
-        # one pass per shard), merge — byte-identical to the serial plane.
-        # Passing the *path* lets the coordinator ship byte ranges and the
-        # workers mmap the file (zero-copy) when the document allows it.
-        from repro.parallel import run_sharded
-
+    if use_stream:
+        # One event pass feeds the shredder, the key checker and (with
+        # --dtd) the streaming DTD validator together; no DOM is ever
+        # built.  With --jobs > 1 the document is sharded at top-level
+        # anchor boundaries onto worker processes instead, byte-identical.
+        # The path source lets the tokenizer read the file in bounded
+        # chunks (or the workers mmap it when sharding).
         run = run_sharded(
             Path(args.xml),
             transformation=transformation,
             keys=keys or None,
             jobs=jobs,
+            dtd=dtd,
         )
-        instances = run.instances or {}
+        instances = run.instances
         if run.violations is not None:
             exit_code = _print_violation_report(keys, run.violations)
-    elif use_stream:
-        # One pass over the event stream feeds the shredder and the key
-        # checker together; no DOM is ever built.  The path source lets an
-        # accelerated tokenizer mmap the file; the pure tokenizer reads it
-        # in bounded chunks.
-        shredder = StreamShredder(transformation)
-        checker = KeyStreamChecker(keys) if keys else None
-        validator = None
-        if dtd is not None:
-            # Validate while shredding: the same event pass feeds the
-            # streaming DTD validator — no extra read, no DOM.
-            from repro.xmlmodel.dtd import DTDStreamValidator
-
-            validator = DTDStreamValidator(dtd)
-        events = 0
-        for event in iter_events(Path(args.xml)):
-            events += 1
-            shredder.feed(event)
-            if checker is not None:
-                checker.feed(event)
-            if validator is not None:
-                validator.feed(event)
-        if obs.enabled():
-            obs.metrics().inc("pipeline.events", events)
-        instances = shredder.finish()
-        if checker is not None:
-            exit_code = _print_violation_report(keys, checker.finish())
-        if validator is not None:
-            exit_code = max(exit_code, _print_dtd_report(validator.finish()))
+        if run.dtd_violations is not None:
+            exit_code = max(exit_code, _print_dtd_report(run.dtd_violations))
     else:
         tree = parse_document(_read(args.xml))
         if keys:
@@ -328,58 +296,30 @@ def cmd_check_doc(args: argparse.Namespace) -> int:
         if dtd is not None:
             dtd_exit = _print_dtd_report(dtd.validate(tree))
         found = [violation for key in keys for violation in violations(tree, key)]
-    elif _resolved_jobs(args) > 1:
-        if dtd is not None and not args.prune:
+    else:
+        jobs = resolve_jobs(args.jobs)
+        if dtd is not None and not args.prune and jobs > 1:
             log.error(
                 "error: streaming DTD validation is a single-pass check and "
                 "cannot be sharded; drop --jobs, or add --prune to use the "
                 "DTD for subtree skipping only"
             )
             return 2
-        plan = None
-        if args.prune:
-            from repro.xmlmodel.static import compile_plan
-
-            plan = compile_plan(dtd, keys=keys)
-        from repro.parallel import run_sharded
-
-        found = (
-            run_sharded(
-                Path(args.xml),
-                keys=keys,
-                jobs=_resolved_jobs(args),
-                plan=plan,
-            ).violations
-            or []
-        )
-    else:
         # One pass feeds the key checker and (without --prune) the
         # streaming DTD validator together.  Pruning and validation are
         # mutually exclusive by construction: a skipped subtree elides
         # exactly the events the validator would need to see.
-        skip = None
-        validator = None
-        if args.prune:
-            from repro.xmlmodel.static import compile_plan
-
-            plan = compile_plan(dtd, keys=keys)
-            skip = plan.skipset if plan.skipset else None
-        elif dtd is not None:
-            from repro.xmlmodel.dtd import DTDStreamValidator
-
-            validator = DTDStreamValidator(dtd)
-        checker = KeyStreamChecker(keys)
-        events = 0
-        for event in iter_events(Path(args.xml), skip=skip):
-            events += 1
-            checker.feed(event)
-            if validator is not None:
-                validator.feed(event)
-        if obs.enabled():
-            obs.metrics().inc("pipeline.events", events)
-        found = checker.finish()
-        if validator is not None:
-            dtd_exit = _print_dtd_report(validator.finish())
+        plan = compile_plan(dtd, keys=keys) if args.prune else None
+        run = run_sharded(
+            Path(args.xml),
+            keys=keys,
+            jobs=jobs,
+            plan=plan,
+            dtd=None if args.prune else dtd,
+        )
+        found = run.violations
+        if run.dtd_violations is not None:
+            dtd_exit = _print_dtd_report(run.dtd_violations)
     log.info(
         "checked %s against %d key(s): %d violation(s)",
         args.xml,

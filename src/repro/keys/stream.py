@@ -26,6 +26,11 @@ pre-order numbering of ``XMLTree.reindex`` (Figure 1), so the reported
 agreement (same verdicts, same violation kinds, same witnesses) is pinned by
 ``tests/property/test_shred_differential.py``.
 
+The checker only consumes events; the loop that feeds it, serial or per
+shard, is :mod:`repro.parallel`'s (:func:`~repro.parallel.run_serial`,
+:func:`~repro.parallel.run_shard`), which :func:`stream_violations` reaches
+through :func:`~repro.parallel.run_sharded`.
+
 Sharded execution (the parallel plane of :mod:`repro.parallel`)
 ---------------------------------------------------------------
 
@@ -60,7 +65,6 @@ from repro.xmlmodel.events import (
     TEXT,
     Event,
     EventSource,
-    as_events,
 )
 from repro.xmlmodel.matching import PathNFA
 from repro.xmlmodel.paths import PathExpression, StepKind
@@ -770,62 +774,26 @@ def stream_violations(
     ``keys`` may be a single key or any iterable of keys; the stream is
     consumed exactly once regardless of how many keys are checked.
     ``jobs`` (default: the ``REPRO_JOBS`` environment variable, else 1)
-    selects the executor: values above 1 shard string sources onto a
-    process pool (:mod:`repro.parallel`) with identical output, falling
-    back to the serial pass whenever the document cannot be sharded.
+    selects the executor: values above 1 shard string and path sources
+    onto a process pool with identical output, falling back to the serial
+    loop whenever the document cannot be sharded; both run on
+    :func:`repro.parallel.run_sharded`.
     ``plan`` is an optional :class:`~repro.xmlmodel.static.StaticPlan`
     compiled over (at least) these keys: its skip set lets the tokenizer
     fast-forward subtrees no key path can reach, with identical output —
     the skip plane verifies every skipped tag, so the guarantee holds on
     documents that violate the plan's DTD too.
     """
-    if isinstance(keys, XMLKey):
-        keys = [keys]
-    keys = list(keys)
-    from repro.parallel import resolve_jobs, run_sharded
+    from repro.parallel import run_sharded
 
-    skip = plan.skipset if plan is not None and plan.skipset else None
-    if resolve_jobs(jobs) > 1 and (
-        isinstance(source, str) or hasattr(source, "__fspath__")
-    ):
-        run = run_sharded(
-            source,
-            keys=keys,
-            strip_whitespace=strip_whitespace,
-            jobs=jobs,
-            plan=plan,
-        )
-        return run.violations or []
-    checker = KeyStreamChecker(keys)
-    feed = checker.feed
-    stream = as_events(source, strip_whitespace=strip_whitespace, skip=skip)
-    if not obs.enabled():
-        # The disabled-mode hot loop carries zero instrumentation: the
-        # branch is taken once, outside the loop (bench_obs gates this).
-        for event in stream:
-            feed(event)
-        return checker.finish()
-    events = skips = elided = 0
-    if skip is None:
-        # Without a skip set the stream cannot carry SKIP events, so the
-        # enabled-mode loop pays one integer increment per event and
-        # nothing else (the <= 15% bench_obs gate covers this path).
-        for event in stream:
-            events += 1
-            feed(event)
-    else:
-        for event in stream:
-            events += 1
-            if event.kind == SKIP:
-                skips += 1
-                elided += event.value
-            feed(event)
-    registry = obs.metrics()
-    registry.inc("pipeline.events", events)
-    if skips:
-        registry.inc("pipeline.skips", skips)
-        registry.inc("pipeline.elided_ids", elided)
-    return checker.finish()
+    run = run_sharded(
+        source,
+        keys=[keys] if isinstance(keys, XMLKey) else keys,
+        strip_whitespace=strip_whitespace,
+        jobs=jobs,
+        plan=plan,
+    )
+    return run.violations
 
 
 def stream_satisfies(

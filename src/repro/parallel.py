@@ -1,26 +1,24 @@
-"""The parallel execution plane: shard → map → merge over process workers.
+"""The one event loop: every serial pass, and shard → map → merge.
 
-The data-level pipeline (shred a document under a transformation, check key
-satisfaction) is embarrassingly parallel at anchor-subtree granularity:
-:mod:`repro.xmlmodel.shards` cuts a document into self-contained event
-slices, each worker runs the ordinary streaming consumers
-(:class:`~repro.transform.stream.RuleStreamer` in shard mode,
-:class:`~repro.keys.stream.KeyStreamChecker`) over its slice, and the
-per-shard states merge associatively back into the serial answer —
-byte-identical rows, verdicts, witnesses and node ids, pinned by
-``tests/property/test_parallel_differential.py``.
+The data-level pipeline (shred under a transformation, check keys,
+validate against a DTD) feeds one event stream to independent consumers.
+This module is the only code that fans a stream out to them:
 
-This module is the thin coordinator on top of those mergeable states:
-
-* :func:`resolve_jobs` — the ``jobs=`` / ``REPRO_JOBS`` switch (1 = the
-  serial plane, 0 = one worker per CPU);
-* :func:`run_sharded` — the end-to-end pipeline: split, map the shards
-  onto a :class:`~concurrent.futures.ProcessPoolExecutor` (shredding and
-  key checking share one pass per shard), merge.  It degrades to the
-  serial single-pass plane whenever sharding is impossible (non-string
-  source, a childless root, a rule whose anchor binds the document root,
-  fewer than two shards) — parallelism is an executor choice, never a
-  semantics change.
+* :func:`run_serial` — the serial loop over any event source, feeding a
+  prebuilt list of ``feed`` callables.  Telemetry and the skip set are
+  checked once, outside the loop: with one consumer and telemetry off it
+  is the bare ``for event in stream: feed(event)`` loop;
+* :func:`run_shard` — one shard pass: prologue replay under the first- /
+  later-shard rules below, one slice, a mergeable :class:`ShardOutput`
+  (used by the pool workers and the incremental engine);
+* :func:`run_sharded` — the pipeline on top: the serial loop, or with
+  ``jobs`` > 1 (:func:`resolve_jobs`, ``REPRO_JOBS``) the document split
+  at top-level anchor boundaries (:mod:`repro.xmlmodel.shards`), mapped
+  onto a process pool and merged associatively into the byte-identical
+  serial answer (``tests/property/test_parallel_differential.py``).  It
+  degrades to the serial loop whenever sharding is impossible (a
+  non-string source, a childless root, a rule whose anchor binds the
+  document root, a DTD to validate, fewer than two shards).
 
 Worker protocol
 ---------------
@@ -46,7 +44,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro import obs
 from repro.keys.key import XMLKey
@@ -64,8 +62,10 @@ from repro.transform.stream import (
     RuleStreamer,
     StreamShredder,
     merge_rule_shards,
+    target_schema,
 )
-from repro.xmlmodel.events import ATTR, SKIP, iter_events
+from repro.xmlmodel.dtd import DTDStreamValidator, DTDViolation
+from repro.xmlmodel.events import ATTR, SKIP, Event, as_events
 from repro.xmlmodel.shards import (
     DocumentShards,
     MappedDocumentShards,
@@ -79,6 +79,8 @@ JOBS_ENV = "REPRO_JOBS"
 #: Shards per worker: slightly over-decomposing smooths the load when
 #: top-level subtrees have uneven sizes.
 SHARD_FACTOR = 2
+
+Feed = Callable[[Event], None]
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -104,8 +106,74 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# The two passes
 # ----------------------------------------------------------------------
+def _record_pass(events: int, skips: int, elided: int) -> None:
+    registry = obs.metrics()
+    registry.inc("pipeline.events", events)
+    if skips:
+        registry.inc("pipeline.skips", skips)
+        registry.inc("pipeline.elided_ids", elided)
+
+
+def run_serial(source, feeds: Sequence[Feed], strip_whitespace: bool, skip) -> int:
+    """Feed every event of ``source`` to every callable in ``feeds``, in order.
+
+    ``source`` is any :func:`~repro.xmlmodel.events.as_events` source;
+    ``skip`` an optional :class:`~repro.xmlmodel.static.SkipSet` for the
+    tokenizer (for a source that already is an event stream: the skip set
+    it was tokenized under).  Returns the number of subtrees the skip set
+    fast-forwarded.  With the observability plane enabled the pass records
+    ``pipeline.events`` (and ``pipeline.skips`` / ``pipeline.elided_ids``).
+    """
+    stream = as_events(source, strip_whitespace=strip_whitespace, skip=skip)
+    telemetry = obs.enabled()
+    if skip is None and not telemetry:
+        # The hot loop carries no counting at all, and the one- and
+        # two-consumer shapes (checking; shredding plus checking) call
+        # their consumers without an inner loop: a ``for`` over the feed
+        # list costs ~2.5% of a shred+check pass (bench_obs gates both).
+        if len(feeds) == 1:
+            feed = feeds[0]
+            for event in stream:
+                feed(event)
+        elif len(feeds) == 2:
+            first, second = feeds
+            for event in stream:
+                first(event)
+                second(event)
+        else:
+            for event in stream:
+                for feed in feeds:
+                    feed(event)
+        return 0
+    events = skips = elided = 0
+    if skip is None and len(feeds) == 1:
+        # One consumer, telemetry on: one increment per event and nothing
+        # else (bench_obs gates this path at <= 15% over the bare loop).
+        feed = feeds[0]
+        for event in stream:
+            events += 1
+            feed(event)
+    elif skip is None:
+        # Without a skip set the stream carries no SKIP events.
+        for event in stream:
+            events += 1
+            for feed in feeds:
+                feed(event)
+    else:
+        for event in stream:
+            events += 1
+            if event.kind == SKIP:
+                skips += 1
+                elided += event.value
+            for feed in feeds:
+                feed(event)
+    if telemetry:
+        _record_pass(events, skips, elided)
+    return skips
+
+
 @dataclass
 class ShardOutput:
     """Everything one shard contributes: per-rule states + checker state.
@@ -124,8 +192,50 @@ class ShardOutput:
     metrics: Optional[obs.MetricsSnapshot] = None
 
 
+def run_shard(
+    prologue_events: Sequence[Event],
+    events: Iterable[Event],
+    rules: Sequence[TableRule],
+    keys: Sequence[XMLKey],
+    first: bool,
+    skip,
+) -> ShardOutput:
+    """Replay the prologue, feed one slice's ``events``, export the states.
+
+    ``first`` selects the first-shard rules: the prologue's side effects
+    (root ``attr`` events for the rule streamers, the root's own key
+    targets) and its events count once, in the first shard only, so
+    summed shard counters equal one serial pass exactly.  ``skip`` is the
+    skip set the slice was tokenized under; the slice runs on
+    :func:`run_serial`.
+    """
+    streamers = [RuleStreamer(rule, shard_mode=True) for rule in rules]
+    checker = KeyStreamChecker(keys) if keys else None
+    feeds = [streamer.feed for streamer in streamers]
+    for event in prologue_events:
+        if checker is not None:
+            checker.feed(event)
+        if first or event.kind != ATTR:
+            for feed in feeds:
+                feed(event)
+    if checker is not None:
+        checker.begin_shard(first=first)
+        feeds.append(checker.feed)
+    if first and obs.enabled():
+        obs.metrics().inc("pipeline.events", len(prologue_events))
+    skipped = run_serial(events, feeds, True, skip)
+    return ShardOutput(
+        rules=[streamer.shard_result() for streamer in streamers],
+        checker=checker.shard_result() if checker is not None else None,
+        skipped_subtrees=skipped,
+    )
+
+
+# ----------------------------------------------------------------------
+# Worker side
+# ----------------------------------------------------------------------
 class _ShardWorker:
-    """Per-process state: the payload plus the shard-processing loop."""
+    """Per-process state: the payload a shard task needs."""
 
     def __init__(
         self,
@@ -149,58 +259,19 @@ class _ShardWorker:
         self.metrics_enabled = metrics_enabled
 
     def run(self, index: int) -> ShardOutput:
+        events = self.shards.shard_events(
+            index, strip_whitespace=self.strip_whitespace, skip=self.skip
+        )
+        shard = (
+            self.shards.prologue_events, events, self.rules, self.keys,
+            index == 0, self.skip,
+        )
         if not self.metrics_enabled:
-            return self._run(index)
+            return run_shard(*shard)
         with obs.collect() as registry:
-            output = self._run(index)
+            output = run_shard(*shard)
         output.metrics = registry.snapshot()
         return output
-
-    def _run(self, index: int) -> ShardOutput:
-        first = index == 0
-        streamers = [RuleStreamer(rule, shard_mode=True) for rule in self.rules]
-        checker = KeyStreamChecker(self.keys) if self.keys else None
-        skipped = 0
-        events = 0
-        elided = 0
-        for event in self.shards.prologue_events:
-            if checker is not None:
-                checker.feed(event)
-            if first or event.kind != ATTR:
-                for streamer in streamers:
-                    streamer.feed(event)
-        if checker is not None:
-            checker.begin_shard(first=first)
-        if first:
-            # The prologue belongs to the document once; shards k > 0
-            # replay it for automaton state only, so only shard 0 counts
-            # its events — summed shard counters then equal one serial
-            # pass exactly.
-            events = len(self.shards.prologue_events)
-        for event in self.shards.shard_events(
-            index,
-            strip_whitespace=self.strip_whitespace,
-            skip=self.skip,
-        ):
-            events += 1
-            if event.kind == SKIP:
-                skipped += 1
-                elided += event.value
-            for streamer in streamers:
-                streamer.feed(event)
-            if checker is not None:
-                checker.feed(event)
-        if self.metrics_enabled:
-            registry = obs.metrics()
-            registry.inc("pipeline.events", events)
-            if skipped:
-                registry.inc("pipeline.skips", skipped)
-                registry.inc("pipeline.elided_ids", elided)
-        return ShardOutput(
-            rules=[streamer.shard_result() for streamer in streamers],
-            checker=checker.shard_result() if checker is not None else None,
-            skipped_subtrees=skipped,
-        )
 
 
 _WORKER: Optional[_ShardWorker] = None
@@ -224,65 +295,38 @@ class ShardedRun:
     """The merged result of one pipeline run.
 
     ``instances`` is ``None`` when no transformation was given,
-    ``violations`` is ``None`` when no keys were given.  ``shards`` is the
-    number of shards actually executed (1 = the serial fallback ran).
-    ``skipped_subtrees`` counts the subtrees the static-plane skip set
-    fast-forwarded across all shards (0 when no plan was given).
+    ``violations`` is ``None`` when no keys were given, ``dtd_violations``
+    is ``None`` when no DTD was given.  ``shards`` is the number of shards
+    actually executed (1 = the serial loop ran).  ``skipped_subtrees``
+    counts the subtrees the static-plane skip set fast-forwarded across
+    all shards (0 when no plan was given).
     """
 
     instances: Optional[Dict[str, RelationInstance]]
     violations: Optional[List[KeyViolation]]
     shards: int = 1
     skipped_subtrees: int = 0
+    dtd_violations: Optional[List[DTDViolation]] = None
 
 
-def _relation_schema(rule: TableRule, schema: Optional[DatabaseSchema]):
-    if schema is not None and rule.relation in schema:
-        return schema.relation(rule.relation)
-    return rule.schema()
-
-
-def _run_serial(
-    source,
-    rules: Sequence[TableRule],
-    keys: Sequence[XMLKey],
-    schema: Optional[DatabaseSchema],
-    deduplicate: bool,
-    strip_whitespace: bool,
-    skip=None,
-) -> ShardedRun:
-    """The PR-3 single-pass plane: shredder and checker share one walk."""
-    shredder = (
-        StreamShredder(rules if isinstance(rules, list) else list(rules),
-                       schema=schema, deduplicate=deduplicate)
-        if rules
-        else None
-    )
-    checker = KeyStreamChecker(keys) if keys else None
-    skipped = 0
-    events = 0
-    elided = 0
-    for event in iter_events(source, strip_whitespace=strip_whitespace, skip=skip):
-        events += 1
-        if event.kind == SKIP:
-            skipped += 1
-            elided += event.value
-        if shredder is not None:
-            shredder.feed(event)
-        if checker is not None:
-            checker.feed(event)
-    if obs.enabled():
+def _record_rows(instances: Optional[Dict[str, RelationInstance]]) -> None:
+    if instances is not None and obs.enabled():
         registry = obs.metrics()
-        registry.inc("pipeline.events", events)
-        if skipped:
-            registry.inc("pipeline.skips", skipped)
-            registry.inc("pipeline.elided_ids", elided)
-    return ShardedRun(
-        instances=shredder.finish() if shredder is not None else None,
-        violations=checker.finish() if checker is not None else None,
-        shards=1,
-        skipped_subtrees=skipped,
-    )
+        for relation, instance in instances.items():
+            registry.inc("shred.rows", len(instance.rows), relation=relation)
+
+
+def root_attr_parts(prologue_events: Sequence[Event]) -> List[str]:
+    """The root's attribute value parts, as the rule merge expects them.
+
+    One part per distinct attribute name, last value winning — the state
+    the DOM holds after parsing a duplicated attribute.
+    """
+    root_attrs: Dict[str, Optional[str]] = {}
+    for event in prologue_events:
+        if event.kind == ATTR:
+            root_attrs[event.name] = event.value
+    return [f"@{name}:{value}" for name, value in root_attrs.items()]
 
 
 def run_sharded(
@@ -294,73 +338,83 @@ def run_sharded(
     strip_whitespace: bool = True,
     jobs: Optional[int] = None,
     use_processes: Optional[bool] = None,
-    executor=None,
     plan=None,
+    dtd=None,
 ) -> ShardedRun:
-    """Shred and/or key-check a document on the sharded execution plane.
+    """Shred, key-check and/or DTD-validate a document in one event pass.
 
-    ``source`` is the document text, or a filesystem path
-    (:class:`os.PathLike`) — the zero-copy path: the coordinator scans the
-    document once to build the slice table, but ships only the path and
-    byte ranges to the workers, which ``mmap`` the file themselves and
-    feed their slice to the tokenizer without copying it (ASCII documents
-    only; byte/character offsets must agree.  Non-ASCII files degrade to
-    the in-memory text plane).  ``transformation`` is any iterable of
-    table rules (a :class:`~repro.transform.rule.Transformation` works
-    as-is); ``keys`` any iterable of XML keys; both are optional and share
-    one pass per shard.  ``jobs`` picks the worker count
-    (:func:`resolve_jobs`); ``use_processes=False`` runs the shard tasks
-    in-process — the same shard/map/merge code path without the pool,
-    which is what the differential test suite exercises at scale.
-    ``executor`` reuses an
-    existing :class:`concurrent.futures.Executor` for the shard tasks
-    instead of spinning up (and tearing down) a process pool per call —
-    the shape a long-lived service wants; the worker payload is shipped
-    with each task, so any executor whose workers can unpickle it works
-    (including a thread pool).  ``plan`` is an optional compiled
-    :class:`~repro.xmlmodel.static.StaticPlan`; it must have been compiled
-    over (at least) these keys and rules — its skip set then fast-forwards
-    schema-invisible subtrees inside every shard, output unchanged
-    (:func:`repro.xmlmodel.static.compile_plan` empties the skip set itself
+    ``source`` is any :func:`~repro.xmlmodel.events.as_events` source; only
+    text or a path (:class:`os.PathLike`) can be sharded, and a path is
+    read only then — on the serial loop it goes straight to the tokenizer.
+    A sharded path ships only the path and byte ranges to the workers,
+    which ``mmap`` the file and feed their slice to the tokenizer without
+    copying it (ASCII documents only; others degrade to text slices).
+    ``transformation`` is any iterable of table rules, ``keys`` any
+    iterable of XML keys, ``dtd`` a :class:`~repro.xmlmodel.dtd.DTD` to
+    validate against (serial only: validation needs the whole stream in
+    order); all are optional and share one pass.  ``jobs`` picks the
+    worker count (:func:`resolve_jobs`); ``use_processes=False`` runs the
+    shard tasks in-process — the same shard/map/merge code path without
+    the pool, which the differential test suite exercises at scale.
+    ``plan`` is an optional :class:`~repro.xmlmodel.static.StaticPlan`
+    compiled over (at least) these keys and rules; its skip set
+    fast-forwards schema-invisible subtrees, output unchanged
+    (:func:`~repro.xmlmodel.static.compile_plan` empties the skip set
     whenever any rule captures element values).
 
     The output is byte-identical to the serial streaming plane (and hence
     to the DOM plane): same rows in the same order, same verdicts, same
     witness node ids and detail strings.
     """
+    if transformation is None and keys is None and dtd is None:
+        raise ValueError("run_sharded() needs a transformation, keys or a DTD")
     rules = list(transformation) if transformation is not None else []
     key_list = list(keys) if keys is not None else []
-    if not rules and not key_list:
-        raise ValueError("run_sharded() needs a transformation, keys, or both")
     skip = plan.skipset if plan is not None and plan.skipset else None
 
-    path: Optional[str] = None
-    if hasattr(source, "__fspath__"):
-        path = os.fspath(source)
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        if raw.isascii():
-            source = raw.decode("ascii")
-        else:
-            # Byte slice offsets would not match the structural scan's
-            # character offsets: fall back to shipping text slices.
-            source = raw.decode("utf-8")
-            path = None
-        del raw
-
     worker_count = resolve_jobs(jobs)
+    path: Optional[str] = None
     shards: Optional[Union[DocumentShards, MappedDocumentShards]] = None
-    if worker_count > 1 and isinstance(source, str):
-        shards = split_document(source, worker_count * SHARD_FACTOR)
-    if shards is not None and any(
-        RuleStreamer(rule, shard_mode=True).anchors_root_bound for rule in rules
-    ):
-        # An anchor binding the document root needs the whole document as
-        # one subtree; semantics before parallelism.
-        shards = None
+    if worker_count > 1 and dtd is None:
+        if hasattr(source, "__fspath__"):
+            with open(source, "rb") as handle:
+                raw = handle.read()
+            # Byte slice offsets match the structural scan's character
+            # offsets only in ASCII files; others ship text slices.
+            path = os.fspath(source) if raw.isascii() else None
+            source = raw.decode("utf-8")
+            del raw
+        if isinstance(source, str):
+            shards = split_document(source, worker_count * SHARD_FACTOR)
+        if shards is not None and any(
+            RuleStreamer(rule, shard_mode=True).anchors_root_bound
+            for rule in rules
+        ):
+            # An anchor binding the document root needs the whole document
+            # as one subtree; semantics before parallelism.
+            shards = None
     if shards is None:
-        return _run_serial(
-            source, rules, key_list, schema, deduplicate, strip_whitespace, skip
+        shredder = (
+            StreamShredder(rules, schema=schema, deduplicate=deduplicate)
+            if transformation is not None
+            else None
+        )
+        checker = KeyStreamChecker(key_list) if keys is not None else None
+        validator = None
+        feeds: List[Feed] = list(shredder.feeds) if shredder is not None else []
+        if checker is not None:
+            feeds.append(checker.feed)
+        if dtd is not None:
+            validator = DTDStreamValidator(dtd)
+            feeds.append(validator.feed)
+        skipped = run_serial(source, feeds, strip_whitespace, skip)
+        instances = shredder.finish() if shredder is not None else None
+        _record_rows(instances)
+        return ShardedRun(
+            instances=instances,
+            violations=checker.finish() if checker is not None else None,
+            skipped_subtrees=skipped,
+            dtd_violations=validator.finish() if validator is not None else None,
         )
     if path is not None:
         shards = map_document_shards(shards, path)
@@ -370,11 +424,7 @@ def run_sharded(
         metrics_enabled=obs.enabled(),
     )
     indices = range(len(shards))
-    if use_processes is None:
-        use_processes = True
-    if executor is not None:
-        outputs = list(executor.map(worker.run, indices))
-    elif use_processes:
+    if use_processes is None or use_processes:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
@@ -399,41 +449,22 @@ def run_sharded(
         # totals equal the serial pass event-for-event.
         registry.inc("pipeline.events", 1)
 
-    instances: Optional[Dict[str, RelationInstance]] = None
-    if rules:
-        # One part per distinct attribute name, last value winning — the
-        # state the DOM holds after parsing a duplicated attribute.
-        root_attrs: Dict[str, Optional[str]] = {}
-        for event in shards.prologue_events:
-            if event.kind == ATTR:
-                root_attrs[event.name] = event.value
-        root_attr_parts = [
-            f"@{name}:{value}" for name, value in root_attrs.items()
-        ]
+    instances = None
+    if transformation is not None:
+        parts = root_attr_parts(shards.prologue_events)
         instances = {}
         for rule_index, rule in enumerate(rules):
-            rows = merge_rule_shards(
+            instance = RelationInstance(target_schema(rule, schema))
+            instance.extend(merge_rule_shards(
                 rule,
                 [output.rules[rule_index] for output in outputs],
                 deduplicate=deduplicate,
-                root_attr_parts=root_attr_parts,
-            )
-            instance = RelationInstance(_relation_schema(rule, schema))
-            for row in rows:
-                instance.add_row(row)
+                root_attr_parts=parts,
+            ))
             instances[rule.relation] = instance
-        if obs.enabled():
-            # The serial plane records these inside StreamShredder.finish;
-            # the sharded plane only knows the final rows after the merge,
-            # and the byte-identical-output guarantee makes them equal.
-            registry = obs.metrics()
-            for relation, instance in instances.items():
-                registry.inc(
-                    "shred.rows", len(instance.rows), relation=relation
-                )
-
+        _record_rows(instances)
     violations: Optional[List[KeyViolation]] = None
-    if key_list:
+    if keys is not None:
         violations = merge_shard_results(
             key_list,
             [output.checker for output in outputs if output.checker is not None],
@@ -441,7 +472,6 @@ def run_sharded(
         )
         if obs.enabled():
             obs.metrics().inc("check.violations", len(violations))
-
     return ShardedRun(
         instances=instances,
         violations=violations,

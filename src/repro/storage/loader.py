@@ -47,7 +47,7 @@ from repro.storage.backend import Backend, IntegrityViolation, StorageError
 from repro.storage.ddl import StorageDDL, TableDDL
 from repro.transform.rule import TableRule, Transformation
 from repro.transform.stream import RuleStreamer
-from repro.xmlmodel.events import EventSource, as_events
+from repro.xmlmodel.events import EventSource
 
 log = obs.get_logger("storage.loader")
 
@@ -333,9 +333,10 @@ class BulkLoader:
         :exc:`LoadError` reports the violating rows of the first violating
         table.  With ``jobs`` > 1 the document is shredded on the parallel
         plane (:func:`repro.parallel.run_sharded`; string sources only) and
-        the merged instances are loaded; otherwise a single event pass
-        feeds one streaming :class:`~repro.transform.stream.RuleStreamer`
-        per rule straight into the insert batches — no materialized
+        the merged instances are loaded; otherwise the serial loop
+        (:func:`repro.parallel.run_serial`) feeds one streaming
+        :class:`~repro.transform.stream.RuleStreamer` per rule, each
+        emitting straight into its insert batches — no materialized
         instance, memory bounded by the batch size.
         """
         rules = list(transformation)
@@ -396,28 +397,32 @@ class BulkLoader:
         document: Optional[str],
         strip_whitespace: bool,
     ) -> Dict[str, int]:
+        from repro.parallel import run_serial
+
+        sinks = {rule.relation: self._sink(rule.relation, document) for rule in rules}
         streamers = [
-            (RuleStreamer(rule, deduplicate=self.deduplicate), rule) for rule in rules
+            RuleStreamer(
+                rule, deduplicate=self.deduplicate, sink=sinks[rule.relation].push
+            )
+            for rule in rules
         ]
-        sinks = {
-            rule.relation: self._sink(rule.relation, document) for _, rule in streamers
-        }
-        for event in as_events(source, strip_whitespace=strip_whitespace):
-            for streamer, rule in streamers:
-                streamer.feed(event)
-                if streamer.ready:
-                    sink = sinks[rule.relation]
-                    for row in streamer.drain():
-                        sink.push(row)
-        for streamer, rule in streamers:
+        run_serial(
+            source, [streamer.feed for streamer in streamers], strip_whitespace, None
+        )
+        for streamer in streamers:
             streamer.finish()
-            sink = sinks[rule.relation]
-            for row in streamer.drain():
-                sink.push(row)
         counts: Dict[str, int] = {}
-        for rule_streamer, rule in streamers:
+        for rule in rules:
             sink = sinks[rule.relation]
             sink.flush()
+            if obs.enabled():
+                # Every shredded row was pushed, and every pushed row was
+                # either loaded or rejected.
+                obs.metrics().inc(
+                    "shred.rows",
+                    sink.loaded + len(sink.rejected),
+                    relation=rule.relation,
+                )
             if sink.rejected:
                 obs.metrics().inc(
                     "load.rejected_rows",

@@ -49,16 +49,16 @@ its per-anchor row blocks and binding counters into a
 :func:`merge_rule_shards` recombines any shard partition of the document —
 concatenating the blocks in shard order and applying the NULL / implicit
 product / deduplication semantics exactly once, globally — into the byte-
-identical row list of the serial pass.  ``StreamShredder.run(jobs=N)``
-dispatches the shards onto a process pool.
+identical row list of the serial pass.  :func:`repro.parallel.run_sharded`
+drives both modes: it feeds the serial streamers on its one serial loop,
+or dispatches the shards onto a process pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.relational.instance import NULL, RelationInstance, Value
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.transform.rule import TableRule, Transformation
@@ -368,13 +368,17 @@ class RuleStreamer:
     """Evaluate one table rule over an event stream, emitting rows.
 
     Feed events with :meth:`feed` (completed rows accumulate in
-    :attr:`ready`), then call :meth:`finish` once the stream is exhausted to
-    flush the remaining rows (the NULL row of an unmatched rule, or the
-    multi-anchor product).
+    :attr:`ready`, or go straight to ``sink`` when one is given), then call
+    :meth:`finish` once the stream is exhausted to flush the remaining rows
+    (the NULL row of an unmatched rule, or the multi-anchor product).
     """
 
     def __init__(
-        self, rule: TableRule, deduplicate: bool = False, shard_mode: bool = False
+        self,
+        rule: TableRule,
+        deduplicate: bool = False,
+        shard_mode: bool = False,
+        sink: Optional[Callable[[Dict[str, Value]], object]] = None,
     ) -> None:
         self.rule = rule
         compiled = self._compiled = _compile(rule)
@@ -392,6 +396,7 @@ class RuleStreamer:
         self._finished = False
         #: Rows completed so far and not yet drained by the caller.
         self.ready: List[Dict[str, Value]] = []
+        self._sink = sink if sink is not None else self.ready.append
         #: Depth inside a *dead region*: a subtree whose root advanced every
         #: anchor NFA to the empty state without matching, left every
         #: binding plan and sits outside any needed value.  Nothing can bind
@@ -406,7 +411,7 @@ class RuleStreamer:
             if key in self._seen:
                 return
             self._seen.add(key)
-        self.ready.append(row)
+        self._sink(row)
 
     def feed(self, event: Event) -> None:
         kind = event.kind
@@ -567,7 +572,8 @@ class RuleStreamer:
             self._emit(row)
 
     def drain(self) -> List[Dict[str, Value]]:
-        rows, self.ready = self.ready, []
+        rows = self.ready[:]
+        self.ready.clear()
         return rows
 
     # ------------------------------------------------------------------
@@ -794,11 +800,21 @@ def stream_evaluate_rule(
     return instance
 
 
+def target_schema(rule: TableRule, schema: Optional[DatabaseSchema]) -> RelationSchema:
+    """The schema ``rule`` shreds into: ``schema``'s relation of that name
+    when there is one, else the rule's own."""
+    if schema is not None and rule.relation in schema:
+        return schema.relation(rule.relation)
+    return rule.schema()
+
+
 class StreamShredder:
     """Shred a document through a whole transformation in one pass.
 
-    Every rule gets its own :class:`RuleStreamer`; a single event walk feeds
-    them all, so a multi-relation import reads the input exactly once.
+    Every rule gets its own :class:`RuleStreamer`, emitting straight into
+    its relation instance; :attr:`feeds` lists their ``feed`` callables for
+    the one serial loop (:func:`repro.parallel.run_serial`), so a
+    multi-relation import reads the input exactly once.
     """
 
     def __init__(
@@ -808,79 +824,24 @@ class StreamShredder:
         deduplicate: bool = True,
     ) -> None:
         self.transformation = transformation
-        self._schema = schema
-        self._deduplicate = deduplicate
         self._instances: Dict[str, RelationInstance] = {}
-        self._streamers: List[Tuple[RuleStreamer, RelationInstance]] = []
+        self._streamers: List[RuleStreamer] = []
         for rule in transformation:
-            relation_schema = None
-            if schema is not None and rule.relation in schema:
-                relation_schema = schema.relation(rule.relation)
-            instance = RelationInstance(
-                relation_schema if relation_schema is not None else rule.schema()
-            )
+            instance = RelationInstance(target_schema(rule, schema))
             self._instances[rule.relation] = instance
-            self._streamers.append((RuleStreamer(rule, deduplicate=deduplicate), instance))
+            self._streamers.append(
+                RuleStreamer(rule, deduplicate=deduplicate, sink=instance.add_row)
+            )
+        self.feeds = [streamer.feed for streamer in self._streamers]
 
     def feed(self, event: Event) -> None:
-        for streamer, instance in self._streamers:
-            streamer.feed(event)
-            if streamer.ready:
-                for row in streamer.drain():
-                    instance.add_row(row)
+        for feed in self.feeds:
+            feed(event)
 
     def finish(self) -> Dict[str, RelationInstance]:
-        for streamer, instance in self._streamers:
+        for streamer in self._streamers:
             streamer.finish()
-            for row in streamer.drain():
-                instance.add_row(row)
-        if obs.enabled():
-            registry = obs.metrics()
-            for relation, instance in self._instances.items():
-                registry.inc(
-                    "shred.rows", len(instance.rows), relation=relation
-                )
         return dict(self._instances)
-
-    def run(
-        self,
-        source: EventSource,
-        strip_whitespace: bool = True,
-        jobs: Optional[int] = None,
-        plan=None,
-    ) -> Dict[str, RelationInstance]:
-        """Shred ``source`` completely and return the relation instances.
-
-        ``jobs`` (default: the ``REPRO_JOBS`` environment variable, else 1)
-        selects the executor: 1 runs the serial single-pass plane
-        unchanged; higher values shard string sources at top-level anchor
-        boundaries and map them onto a process pool, with a byte-identical
-        merged result (and an automatic serial fallback whenever the
-        document or a rule cannot be sharded).  ``plan`` is an optional
-        compiled :class:`~repro.xmlmodel.static.StaticPlan` whose skip set
-        (empty whenever any rule captures element values) fast-forwards
-        schema-invisible subtrees at the tokenizer, rows unchanged.
-        """
-        from repro.parallel import resolve_jobs, run_sharded
-
-        if resolve_jobs(jobs) > 1 and (
-            isinstance(source, str) or hasattr(source, "__fspath__")
-        ):
-            run = run_sharded(
-                source,
-                transformation=self.transformation,
-                schema=self._schema,
-                deduplicate=self._deduplicate,
-                strip_whitespace=strip_whitespace,
-                jobs=jobs,
-                plan=plan,
-            )
-            self._instances = dict(run.instances or {})
-            return dict(self._instances)
-        skip = plan.skipset if plan is not None and plan.skipset else None
-        for event in as_events(source, strip_whitespace=strip_whitespace, skip=skip):
-            self.feed(event)
-        return self.finish()
 
 
 def stream_evaluate_transformation(
@@ -892,8 +853,23 @@ def stream_evaluate_transformation(
     jobs: Optional[int] = None,
     plan=None,
 ) -> Dict[str, RelationInstance]:
-    """Streaming counterpart of :func:`evaluate_transformation` (one pass)."""
-    shredder = StreamShredder(transformation, schema=schema, deduplicate=deduplicate)
-    return shredder.run(
-        source, strip_whitespace=strip_whitespace, jobs=jobs, plan=plan
+    """Streaming counterpart of :func:`evaluate_transformation` (one pass).
+
+    Runs :func:`repro.parallel.run_sharded`: ``jobs`` above 1 (default:
+    ``REPRO_JOBS``, else 1) shards text and path sources onto a process
+    pool, byte-identical; ``plan`` is an optional compiled
+    :class:`~repro.xmlmodel.static.StaticPlan` whose skip set fast-forwards
+    schema-invisible subtrees at the tokenizer, rows unchanged.
+    """
+    from repro.parallel import run_sharded
+
+    run = run_sharded(
+        source,
+        transformation=transformation,
+        schema=schema,
+        deduplicate=deduplicate,
+        strip_whitespace=strip_whitespace,
+        jobs=jobs,
+        plan=plan,
     )
+    return run.instances

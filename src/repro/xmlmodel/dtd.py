@@ -569,13 +569,12 @@ def stream_dtd_violations(
     strip_whitespace: bool = True,
 ) -> List[DTDViolation]:
     """Validate ``source`` (any :func:`~repro.xmlmodel.events.as_events`
-    source) against ``dtd`` in one streaming pass."""
-    from repro.xmlmodel.events import as_events
+    source) against ``dtd`` in one streaming pass (the serial loop of
+    :func:`repro.parallel.run_serial`)."""
+    from repro.parallel import run_serial
 
     validator = DTDStreamValidator(dtd)
-    feed = validator.feed
-    for event in as_events(source, strip_whitespace=strip_whitespace):
-        feed(event)
+    run_serial(source, [validator.feed], strip_whitespace, None)
     return validator.finish()
 
 

@@ -338,3 +338,48 @@ class TestDeltaStore:
             eng.apply(delete(1))
         assert eng.text() == before_text
         backend.close()
+
+
+class TestLoadTelemetry:
+    """``load()`` records exactly the serial pass's ``pipeline.*`` counters
+    (events, skipped subtrees, elided node ids), with and without a plan."""
+
+    @pytest.fixture()
+    def mondial(self):
+        from repro.experiments.scenarios import MONDIAL_DTD, mondial_shaped_chunks
+        from repro.xmlmodel.dtd import parse_dtd
+
+        text = "".join(
+            mondial_shaped_chunks(countries=30, provinces=2, cities=2, organizations=6)
+        )
+        return text, parse_keys("(., (//organization, {@abbrev}))"), parse_dtd(MONDIAL_DTD)
+
+    @staticmethod
+    def _pipeline_counters(snapshot):
+        return {
+            key: value
+            for key, value in snapshot.counters.items()
+            if key[0].startswith("pipeline.")
+        }
+
+    @pytest.mark.parametrize("pruned", [False, True], ids=["no-plan", "plan"])
+    def test_load_counters_equal_the_serial_pass(self, mondial, pruned):
+        from repro import obs
+        from repro.parallel import run_sharded
+        from repro.xmlmodel.static import compile_plan
+
+        text, keys, dtd = mondial
+        plan = compile_plan(dtd, keys=keys) if pruned else None
+        with obs.collect() as serial:
+            run = run_sharded(text, keys=keys, jobs=1, plan=plan)
+        with obs.collect() as loaded:
+            eng = IncrementalEngine(keys=keys, plan=plan)
+            eng.load(text)
+        expected = self._pipeline_counters(serial.snapshot())
+        assert self._pipeline_counters(loaded.snapshot()) == expected
+        assert fingerprint(eng.violations()) == fingerprint(run.violations)
+        if pruned:
+            assert run.skipped_subtrees > 0
+            assert expected[("pipeline.skips", ())] == run.skipped_subtrees
+        else:
+            assert ("pipeline.skips", ()) not in expected

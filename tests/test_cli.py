@@ -815,6 +815,30 @@ class TestStatsFlags:
         rows = [c for c in doc["counters"] if c["name"] == "shred.rows"]
         assert {r["labels"]["relation"] for r in rows} == {"book", "chapter"}
 
+    def test_load_records_the_shred_stream_counters(self, workspace, tmp_path, capsys):
+        import json
+
+        ws = workspace
+
+        def counters(argv):
+            main(argv + ["--stats-json"])
+            doc = json.loads(capsys.readouterr().err)
+            return {
+                (c["name"], tuple(sorted(c.get("labels", {}).items()))): c["value"]
+                for c in doc["counters"]
+                if c["name"] in ("pipeline.events", "shred.rows")
+            }
+
+        shredded = counters(
+            ["shred", "--stream", "--transform", ws["transform"], "--xml", ws["xml"]]
+        )
+        loaded = counters(
+            ["load", "--transform", ws["transform"], "--xml", ws["xml"],
+             "--db", str(tmp_path / "out.db")]
+        )
+        assert shredded[("pipeline.events", ())] > 0
+        assert loaded == shredded
+
     def test_stats_flags_are_mutually_exclusive(self, workspace, capsys):
         ws = workspace
         with pytest.raises(SystemExit) as excinfo:

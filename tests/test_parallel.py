@@ -13,7 +13,7 @@ from repro.keys.key import XMLKey
 from repro.keys.stream import stream_violations
 from repro.parallel import JOBS_ENV, ShardedRun, resolve_jobs, run_sharded
 from repro.transform.dsl import parse_transformation
-from repro.transform.stream import StreamShredder, stream_evaluate_transformation
+from repro.transform.stream import stream_evaluate_transformation
 
 
 TRANSFORM_TEXT = """
@@ -147,13 +147,6 @@ class TestSerialFallbacks:
 
 
 class TestLibraryEntryPoints:
-    def test_stream_shredder_run_jobs(self, transformation):
-        serial = StreamShredder(transformation).run(DOC)
-        parallel = StreamShredder(transformation).run(DOC, jobs=2)
-        assert {n: i.rows for n, i in parallel.items()} == {
-            n: i.rows for n, i in serial.items()
-        }
-
     def test_stream_evaluate_transformation_jobs(self, transformation):
         serial = stream_evaluate_transformation(transformation, DOC)
         parallel = stream_evaluate_transformation(transformation, DOC, jobs=2)
@@ -168,9 +161,9 @@ class TestLibraryEntryPoints:
 
     def test_env_variable_selects_parallel_plane(self, monkeypatch, transformation):
         monkeypatch.setenv(JOBS_ENV, "2")
-        parallel = StreamShredder(transformation).run(DOC)
+        parallel = stream_evaluate_transformation(transformation, DOC)
         monkeypatch.delenv(JOBS_ENV)
-        serial = StreamShredder(transformation).run(DOC)
+        serial = stream_evaluate_transformation(transformation, DOC)
         assert {n: i.rows for n, i in parallel.items()} == {
             n: i.rows for n, i in serial.items()
         }
