@@ -16,9 +16,10 @@ This module is the only code that fans a stream out to them:
   at top-level anchor boundaries (:mod:`repro.xmlmodel.shards`), mapped
   onto a process pool and merged associatively into the byte-identical
   serial answer (``tests/property/test_parallel_differential.py``).  It
-  degrades to the serial loop whenever sharding is impossible (a
-  non-string source, a childless root, a rule whose anchor binds the
-  document root, a DTD to validate, fewer than two shards).
+  degrades to the serial loop whenever sharding is impossible or useless
+  (a non-string source, a childless root, a rule whose anchor binds the
+  document root, a DTD to validate, no rule and no key, fewer than two
+  shards).
 
 Worker protocol
 ---------------
@@ -128,24 +129,20 @@ def run_serial(source, feeds: Sequence[Feed], strip_whitespace: bool, skip) -> i
     """
     stream = as_events(source, strip_whitespace=strip_whitespace, skip=skip)
     telemetry = obs.enabled()
-    if skip is None and not telemetry:
-        # The hot loop carries no counting at all, and the one- and
-        # two-consumer shapes (checking; shredding plus checking) call
-        # their consumers without an inner loop: a ``for`` over the feed
-        # list costs ~2.5% of a shred+check pass (bench_obs gates both).
+    if skip is None and not telemetry and len(feeds) in (1, 2):
+        # Checking, and shredding one rule plus checking, carry no
+        # counting and call their consumers without an inner loop: a
+        # ``for`` over the feed list costs ~2.5% of a shred+check pass
+        # (bench_obs gates both shapes).
         if len(feeds) == 1:
             feed = feeds[0]
             for event in stream:
                 feed(event)
-        elif len(feeds) == 2:
+        else:
             first, second = feeds
             for event in stream:
                 first(event)
                 second(event)
-        else:
-            for event in stream:
-                for feed in feeds:
-                    feed(event)
         return 0
     events = skips = elided = 0
     if skip is None and len(feeds) == 1:
@@ -155,12 +152,6 @@ def run_serial(source, feeds: Sequence[Feed], strip_whitespace: bool, skip) -> i
         for event in stream:
             events += 1
             feed(event)
-    elif skip is None:
-        # Without a skip set the stream carries no SKIP events.
-        for event in stream:
-            events += 1
-            for feed in feeds:
-                feed(event)
     else:
         for event in stream:
             events += 1
@@ -352,7 +343,9 @@ def run_sharded(
     ``transformation`` is any iterable of table rules, ``keys`` any
     iterable of XML keys, ``dtd`` a :class:`~repro.xmlmodel.dtd.DTD` to
     validate against (serial only: validation needs the whole stream in
-    order); all are optional and share one pass.  ``jobs`` picks the
+    order, so a ``plan`` with a non-empty skip set is refused); all are
+    optional and share one pass, and each given one yields a result, even
+    when empty (``keys=[]`` gives ``violations == []``).  ``jobs`` picks the
     worker count (:func:`resolve_jobs`); ``use_processes=False`` runs the
     shard tasks in-process — the same shard/map/merge code path without
     the pool, which the differential test suite exercises at scale.
@@ -371,11 +364,17 @@ def run_sharded(
     rules = list(transformation) if transformation is not None else []
     key_list = list(keys) if keys is not None else []
     skip = plan.skipset if plan is not None and plan.skipset else None
+    if dtd is not None and skip is not None:
+        # A skipped subtree elides exactly the events the validator needs.
+        raise ValueError(
+            "run_sharded() cannot validate a DTD under a skip set; "
+            "drop the plan or the DTD"
+        )
 
     worker_count = resolve_jobs(jobs)
     path: Optional[str] = None
     shards: Optional[Union[DocumentShards, MappedDocumentShards]] = None
-    if worker_count > 1 and dtd is None:
+    if worker_count > 1 and dtd is None and (rules or key_list):
         if hasattr(source, "__fspath__"):
             with open(source, "rb") as handle:
                 raw = handle.read()

@@ -535,7 +535,8 @@ class DTDStreamValidator:
                 self._blocks.append((frame.seq, block))
         elif kind == "skip":
             # Defensive: validation passes never run with a skip set (a
-            # skipped subtree is by definition unvalidated), but keep the
+            # skipped subtree is by definition unvalidated, and
+            # ``run_sharded`` refuses the combination), but keep the
             # node-id accounting coherent if one ever arrives.
             frame = frames[-1]
             if not frame.attrs_done:

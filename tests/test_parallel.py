@@ -14,6 +14,8 @@ from repro.keys.stream import stream_violations
 from repro.parallel import JOBS_ENV, ShardedRun, resolve_jobs, run_sharded
 from repro.transform.dsl import parse_transformation
 from repro.transform.stream import stream_evaluate_transformation
+from repro.xmlmodel.dtd import parse_dtd
+from repro.xmlmodel.static import compile_plan
 
 
 TRANSFORM_TEXT = """
@@ -118,6 +120,32 @@ class TestRunShardedProcesses:
     def test_requires_work(self):
         with pytest.raises(ValueError):
             run_sharded(DOC, jobs=2)
+
+    def test_empty_consumers_run_serially(self):
+        # Given but empty: each still yields a (empty) result, and with
+        # nothing to feed no process pool is started.
+        run = run_sharded(DOC, transformation=[], keys=[], jobs=2)
+        assert run.shards == 1
+        assert run.instances == {}
+        assert run.violations == []
+
+    def test_dtd_under_a_skip_set_is_refused(self):
+        dtd = parse_dtd(
+            "<!ELEMENT lib (book*)>\n"
+            "<!ELEMENT book (title, chapter*)>\n"
+            "<!ELEMENT title (#PCDATA)>\n"
+            "<!ELEMENT chapter EMPTY>\n"
+            "<!ATTLIST lib year CDATA #IMPLIED>\n"
+            "<!ATTLIST book isbn CDATA #IMPLIED>\n"
+            "<!ATTLIST chapter number CDATA #REQUIRED>\n"
+        )
+        plan = compile_plan(dtd, keys=KEYS[:1])
+        assert plan.skipset  # title and chapter subtrees hold no //book
+        with pytest.raises(ValueError, match="skip set"):
+            run_sharded(DOC, keys=KEYS[:1], plan=plan, dtd=dtd, jobs=1)
+        # Either one alone runs; validation without a plan sees everything.
+        assert run_sharded(DOC, keys=KEYS[:1], plan=plan).skipped_subtrees > 0
+        assert run_sharded(DOC, keys=KEYS[:1], dtd=dtd).dtd_violations == []
 
 
 class TestSerialFallbacks:
